@@ -16,7 +16,8 @@
 //! per-round duty charging — so the CI gate also pins the overlay's
 //! overhead on the CSR hot path. The `engine_par` group runs it through
 //! the intra-run parallel scatter at 2 and 8 receiver-range workers
-//! (`run_protocol_par`), gating the parallel path's cost the same way.
+//! (`EngineConfig::with_threads`), gating the parallel path's cost the
+//! same way.
 //!
 //! Two groups cover the **fused v2 engine**: `decide_phase/{v1,v2}`
 //! isolates the per-round decision loop on an edgeless graph (v1 shared
@@ -33,10 +34,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use radio_energy::{EnergySession, LinearRadio, TxOnly};
 use radio_graph::generate::gnp_directed;
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::engine::{
-    run_protocol, run_protocol_energy, run_protocol_fused, run_protocol_fused_traced,
-    run_protocol_par,
-};
+use radio_sim::engine::{run_protocol, Run};
 use radio_sim::trace::{RecordingSink, RunHeader};
 use radio_sim::{run_adjlist, Action, AdjListGraph, Engine, EngineConfig, FusedDecide, Protocol};
 use radio_util::derive_rng;
@@ -163,7 +161,7 @@ fn bench_engine_csr(c: &mut Criterion) {
         b.iter(|| {
             let mut p = Storm { n: N };
             let mut rng = derive_rng(1, b"csr-bench", 0);
-            black_box(run_protocol(g, &mut p, cfg(), &mut rng))
+            black_box(run_protocol(g, &mut p, cfg(), Run::v1(&mut rng)))
         });
     });
     group.finish();
@@ -203,7 +201,12 @@ fn bench_engine_par(c: &mut Criterion) {
             b.iter(|| {
                 let mut p = Storm { n: N };
                 let mut rng = derive_rng(1, b"csr-bench", 0);
-                black_box(run_protocol_par(g, &mut p, cfg(), &mut rng, threads))
+                black_box(run_protocol(
+                    g,
+                    &mut p,
+                    cfg().with_threads(threads),
+                    Run::v1(&mut rng),
+                ))
             });
         });
     }
@@ -217,7 +220,7 @@ fn bench_decide_phase(c: &mut Criterion) {
     // serial path over batched per-node counter-based streams (the wide
     // ChaCha kernel). `v2_cold` builds a fresh engine per run — scratch
     // allocation plus the per-node key derivation are on the clock, as
-    // in a one-shot `run_protocol_fused` call. `v2_warm` reuses one
+    // in a one-shot `run_protocol(…, Run::v2(seed))` call. `v2_warm` reuses one
     // engine across runs, the steady state of a sweep loop: pools and
     // the node-key cache persist, so it isolates the per-draw cost. The
     // headline gate is `v2_warm ≤ 2 × v1` (see ISSUE 7 / bench_compare).
@@ -229,23 +232,23 @@ fn bench_decide_phase(c: &mut Criterion) {
         b.iter(|| {
             let mut p = CoinStorm::new(N, 0.05);
             let mut rng = derive_rng(2, b"decide-bench", 0);
-            black_box(run_protocol(g, &mut p, cfg(), &mut rng))
+            black_box(run_protocol(g, &mut p, cfg(), Run::v1(&mut rng)))
         });
     });
     group.bench_with_input(BenchmarkId::new("v2_cold", N), &g, |b, g| {
         b.iter(|| {
             let mut p = CoinStorm::new(N, 0.05);
-            black_box(run_protocol_fused(g, &mut p, cfg(), 2))
+            black_box(run_protocol(g, &mut p, cfg(), Run::v2(2)))
         });
     });
     group.bench_with_input(BenchmarkId::new("v2_warm", N), &g, |b, g| {
         let mut eng = Engine::new(g, cfg());
         // Prime the pools + key cache so every timed run is steady-state.
         let mut warm = CoinStorm::new(N, 0.05);
-        black_box(eng.run_fused(&mut warm, 2));
+        black_box(eng.run(&mut warm, Run::v2(2)));
         b.iter(|| {
             let mut p = CoinStorm::new(N, 0.05);
-            black_box(eng.run_fused(&mut p, 2))
+            black_box(eng.run(&mut p, Run::v2(2)))
         });
     });
     group.finish();
@@ -267,11 +270,11 @@ fn bench_engine_fused(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(format!("{threads}t"), N), &g, |b, g| {
             b.iter(|| {
                 let mut p = CoinStorm::new(N, 0.2);
-                black_box(run_protocol_fused(
+                black_box(run_protocol(
                     g,
                     &mut p,
                     cfg().with_threads(threads),
-                    3,
+                    Run::v2(3),
                 ))
             });
         });
@@ -299,7 +302,7 @@ fn bench_engine_trace(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("off", N), &g, |b, g| {
         b.iter(|| {
             let mut p = CoinStorm::new(N, 0.05);
-            black_box(run_protocol_fused(g, &mut p, cfg(), 4))
+            black_box(run_protocol(g, &mut p, cfg(), Run::v2(4)))
         });
     });
     group.bench_with_input(BenchmarkId::new("on", N), &g, |b, g| {
@@ -309,7 +312,7 @@ fn bench_engine_trace(c: &mut Criterion) {
             bytes.clear();
             let mut sink = RecordingSink::new(&mut bytes, &header).expect("vec write");
             let mut p = CoinStorm::new(N, 0.05);
-            let run = run_protocol_fused_traced(g, &mut p, cfg(), 4, &mut sink);
+            let run = run_protocol(g, &mut p, cfg(), Run::v2(4).sink(&mut sink));
             sink.finish(run.completed).expect("vec write");
             black_box(run)
         });
@@ -328,12 +331,11 @@ fn bench_engine_energy(c: &mut Criterion) {
             let mut p = Storm { n: N };
             let mut rng = derive_rng(1, b"csr-bench", 0);
             let mut session = EnergySession::new(N, TxOnly, 1);
-            black_box(run_protocol_energy(
+            black_box(run_protocol(
                 g,
                 &mut p,
                 cfg(),
-                &mut rng,
-                &mut session,
+                Run::v1(&mut rng).energy(&mut session),
             ))
         });
     });
@@ -343,12 +345,11 @@ fn bench_engine_energy(c: &mut Criterion) {
             let mut p = Storm { n: N };
             let mut rng = derive_rng(1, b"csr-bench", 0);
             let mut session = EnergySession::new(N, LinearRadio::with_listen_ratio(0.5), 1);
-            black_box(run_protocol_energy(
+            black_box(run_protocol(
                 g,
                 &mut p,
                 cfg(),
-                &mut rng,
-                &mut session,
+                Run::v1(&mut rng).energy(&mut session),
             ))
         });
     });
@@ -357,7 +358,7 @@ fn bench_engine_energy(c: &mut Criterion) {
 
 fn bench_scatter_phase(c: &mut Criterion) {
     // The scatter/collision phase per partition strategy: the same
-    // always-transmit storm driven through `run_protocol_par` at 1 and 8
+    // always-transmit storm driven through `run_protocol` at 1 and 8
     // workers, per backend. On `csr` the engine's `Auto` plan picks the
     // receiver-range partition (rows are O(1) to narrow to a receiver
     // range); on the implicit backends (`grid`, `gnp`) a range query
@@ -386,7 +387,12 @@ fn bench_scatter_phase(c: &mut Criterion) {
                     b.iter(|| {
                         let mut p = Storm { n: N };
                         let mut rng = derive_rng(1, b"scatter-bench", 0);
-                        black_box(run_protocol_par(t, &mut p, cfg(), &mut rng, threads))
+                        black_box(run_protocol(
+                            t,
+                            &mut p,
+                            cfg().with_threads(threads),
+                            Run::v1(&mut rng),
+                        ))
                     });
                 },
             );

@@ -6,14 +6,14 @@
 //! `n = 2¹⁸ … 2²⁰` (raise `ADHOC_RADIO_E18_MAX_EXP` to 21+ for the full
 //! million-node column; the default keeps the committed JSON
 //! regenerable in reasonable wall-clock on one core) on both `G(n,p)`
-//! and geometric topologies, driving the **fused v2 engine**
-//! ([`radio_sim::Engine::run_fused`]) instead of trial-level fan-out: at
+//! and geometric topologies, driving the engine under the **v2
+//! contract** ([`radio_sim::Run::v2`]) instead of trial-level fan-out: at
 //! these sizes a single run saturates memory bandwidth, so the sweep is
 //! built `with_threads_per_run` and each trial hands the engine
 //! `EngineConfig::with_threads`. Under the v2 counter-based per-node
 //! stream contract the decide phase — one RNG draw per awake node per
-//! round, the serial bottleneck that Amdahl-capped the v1 `run_par`
-//! here — fans out with the scatter.
+//! round, the serial bottleneck that Amdahl-capped v1 runs here — fans
+//! out with the scatter.
 //!
 //! Reported per cell: mean rounds, mean total messages, messages per
 //! node, and a wall-clock column (seconds per trial, *not* serialized —
@@ -51,7 +51,7 @@ use radio_core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadcast};
 use radio_core::broadcast::flood::FloodConfig;
 use radio_core::broadcast::windowed::run_windowed_fused_traced;
 use radio_graph::{DiGraph, GraphFamily, ImplicitGnp, ImplicitGrid, Topology};
-use radio_sim::engine::run_protocol_fused_traced;
+use radio_sim::engine::{run_protocol, Run};
 use radio_sim::trace::{NullSink, TraceSink};
 use radio_sim::{EngineConfig, Protocol, Sweep, SweepCell, TracePlan, TrialResult};
 use radio_util::{derive_rng, split_seed, Json, TextTable};
@@ -105,8 +105,8 @@ fn p_equiv(cell: &SweepCell, graph: &DiGraph) -> f64 {
     }
 }
 
-/// One trial: run `alg` through the **fused v2 engine**
-/// ([`radio_sim::Engine::run_fused`]) with `threads` intra-run workers —
+/// One trial: run `alg` through the engine under the **v2 contract**
+/// ([`radio_sim::Run::v2`]) with `threads` intra-run workers —
 /// under the v2 contract the decide phase fans out with the scatter, so
 /// run-level parallelism covers the whole round, not just the
 /// collision count. Pure in `(alg, graph, p_eq, seed)` — the thread
@@ -142,12 +142,11 @@ fn trial_body_traced<T: Topology, S: TraceSink>(
         "alg1" => {
             let acfg = EeBroadcastConfig::for_gnp(n, p_eq);
             let mut protocol = EeRandomBroadcast::new(n, 0, acfg);
-            let run = run_protocol_fused_traced(
+            let run = run_protocol(
                 graph,
                 &mut protocol,
                 cfg(acfg.schedule_end() + 2),
-                seed,
-                sink,
+                Run::v2(seed).sink(sink),
             );
             let informed = protocol.informed_count();
             TrialResult::from_run(&run, informed == n, informed)

@@ -10,7 +10,7 @@ use radio_bench::experiments::e18_scale;
 use radio_bench::Ctx;
 use radio_util::Json;
 
-/// The PR's acceptance bar, verbatim: a single `run_par` at `n = 2²⁰` on
+/// The acceptance bar: a single multi-threaded v1 run at `n = 2²⁰` on
 /// a `G(n,p)` graph completes and is bit-identical between 1 and 8
 /// threads. Ignored by default — it builds a ~10⁸-edge graph and is
 /// meant for release mode
@@ -23,7 +23,7 @@ use radio_util::Json;
 fn run_par_at_2_pow_20_completes_and_is_thread_count_independent() {
     use radio_core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadcast};
     use radio_graph::generate::gnp_directed;
-    use radio_sim::engine::run_protocol_par;
+    use radio_sim::engine::{run_protocol, Run};
     use radio_sim::{EngineConfig, Protocol};
     use radio_util::derive_rng;
 
@@ -36,7 +36,12 @@ fn run_par_at_2_pow_20_completes_and_is_thread_count_independent() {
         let mut rng = derive_rng(0xE18, b"accept-run", 0);
         // The explicit `threads` argument overrides `cfg.threads`.
         let cfg = EngineConfig::with_max_rounds(acfg.schedule_end() + 2);
-        let res = run_protocol_par(&g, &mut protocol, cfg, &mut rng, threads);
+        let res = run_protocol(
+            &g,
+            &mut protocol,
+            cfg.with_threads(threads),
+            Run::v1(&mut rng),
+        );
         (res.rounds, res.metrics, protocol.informed_count())
     };
     let serial = run_at(1);
@@ -60,7 +65,7 @@ fn run_par_at_2_pow_20_completes_and_is_thread_count_independent() {
 fn fused_8t_beats_1t_wall_clock_at_2_pow_16() {
     use radio_core::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
     use radio_graph::generate::gnp_directed;
-    use radio_sim::{Engine, EngineConfig};
+    use radio_sim::{Engine, EngineConfig, Run};
     use radio_util::derive_rng;
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -75,14 +80,15 @@ fn fused_8t_beats_1t_wall_clock_at_2_pow_16() {
         window: None,
         early_stop: false,
     };
-    let mut eng = Engine::new(&g, EngineConfig::with_max_rounds(60));
-    let mut time_at = |threads: usize| {
+    let time_at = |threads: usize| {
+        let cfg = EngineConfig::with_max_rounds(60).with_threads(threads);
+        let mut eng = Engine::new(&g, cfg);
         let mut best = f64::INFINITY;
         let mut reference = None;
         for _ in 0..3 {
             let mut proto = WindowedBroadcast::new(n, 0, spec());
             let start = std::time::Instant::now();
-            let res = eng.run_fused_par(&mut proto, 0xF16, threads);
+            let res = eng.run(&mut proto, Run::v2(0xF16));
             best = best.min(start.elapsed().as_secs_f64());
             // Bit-identity rides along: every repetition and every
             // thread count must agree exactly.
@@ -126,7 +132,7 @@ fn fused_8t_beats_1t_wall_clock_at_2_pow_16() {
 fn implicit_shard_8t_beats_1t_wall_clock_at_2_pow_20() {
     use radio_core::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
     use radio_graph::ImplicitGnp;
-    use radio_sim::{Engine, EngineConfig};
+    use radio_sim::{Engine, EngineConfig, Run};
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let n = 1usize << 20;
@@ -141,14 +147,15 @@ fn implicit_shard_8t_beats_1t_wall_clock_at_2_pow_20() {
         window: None,
         early_stop: false,
     };
-    let mut eng = Engine::new(&t, EngineConfig::with_max_rounds(40));
-    let mut time_at = |threads: usize| {
+    let time_at = |threads: usize| {
+        let cfg = EngineConfig::with_max_rounds(40).with_threads(threads);
+        let mut eng = Engine::new(&t, cfg);
         let mut best = f64::INFINITY;
         let mut reference = None;
         for _ in 0..3 {
             let mut proto = WindowedBroadcast::new(n, 0, spec());
             let start = std::time::Instant::now();
-            let res = eng.run_fused_par(&mut proto, 0xF20, threads);
+            let res = eng.run(&mut proto, Run::v2(0xF20));
             best = best.min(start.elapsed().as_secs_f64());
             let fp = (res.rounds, res.metrics.total_transmissions());
             match &reference {

@@ -583,6 +583,20 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_input_is_rejected_with_a_position() {
+        // A scenario field holding 200,000 nested arrays: the parser must
+        // refuse it with a line/column error instead of overflowing the
+        // stack.
+        let text = minimal().replace(
+            "\"trials\": 2",
+            &format!("\"trials\": {}", "[".repeat(200_000)),
+        );
+        let err = Scenario::parse(&text).unwrap_err();
+        assert!(err.starts_with("line 4, col "), "got: {err}");
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+    }
+
+    #[test]
     fn errors_name_their_json_path() {
         let no_n = minimal().replace("\"n\": 64, ", "");
         let err = Scenario::parse(&no_n).unwrap_err();

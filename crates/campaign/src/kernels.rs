@@ -32,7 +32,7 @@ use radio_core::seq::SharedSequence;
 use radio_energy::{Battery, EnergySession, LinearRadio};
 use radio_graph::generate::mobile_geometric_sequence;
 use radio_graph::{DiGraph, GraphFamily, NodeId, Topology};
-use radio_sim::engine::{run_protocol, run_protocol_energy};
+use radio_sim::engine::{run_protocol, Run};
 use radio_sim::{CrashPlan, EngineConfig, Faulty, Protocol, SweepCell, TrialResult};
 use radio_util::{derive_rng, split_seed};
 
@@ -95,12 +95,11 @@ pub fn mobile_gossip_trial(cfg: &MobileGossipCfg, cell: &SweepCell, seed: u64) -
     let refs: Vec<&DiGraph> = graphs.iter().collect();
     let mut protocol = EeGossip::new(gossip_cfg);
     let mut rng = derive_rng(seed, b"engine", 0);
-    let run = radio_sim::run_dynamic(
-        &refs,
-        cfg.switch_every,
+    let run = run_protocol(
+        refs[0],
         &mut protocol,
         EngineConfig::with_max_rounds(gossip_cfg.schedule_rounds() + 1),
-        &mut rng,
+        Run::v1(&mut rng).schedule(&refs, cfg.switch_every),
     );
     let time = protocol.gossip_time();
     let mut t = TrialResult::from_run(&run, time.is_some(), protocol.informed_count()).extra(
@@ -189,17 +188,16 @@ pub fn faulty_broadcast_trial<T: Topology>(
             let mut rng = derive_rng(seed, b"engine", 0);
             let run = match open_trace() {
                 Some(mut sink) => {
-                    let run = radio_sim::engine::run_protocol_traced(
+                    let run = run_protocol(
                         graph,
                         &mut p,
                         engine_cfg,
-                        &mut rng,
-                        &mut sink.sink,
+                        Run::v1(&mut rng).sink(&mut sink.sink),
                     );
                     sink.finish(run.completed);
                     run
                 }
-                None => run_protocol(graph, &mut p, engine_cfg, &mut rng),
+                None => run_protocol(graph, &mut p, engine_cfg, Run::v1(&mut rng)),
             };
             let fi = survivor_frac(p.inner());
             let failed = plan.failed_by(run.rounds, &[]);
@@ -216,18 +214,16 @@ pub fn faulty_broadcast_trial<T: Topology>(
             let mut s = session();
             let run = match open_trace() {
                 Some(mut sink) => {
-                    let run = radio_sim::engine::run_protocol_energy_traced(
+                    let run = run_protocol(
                         graph,
                         &mut p,
                         engine_cfg,
-                        &mut rng,
-                        &mut s,
-                        &mut sink.sink,
+                        Run::v1(&mut rng).energy(&mut s).sink(&mut sink.sink),
                     );
                     sink.finish(run.run.completed);
                     run
                 }
-                None => run_protocol_energy(graph, &mut p, engine_cfg, &mut rng, &mut s),
+                None => run_protocol(graph, &mut p, engine_cfg, Run::v1(&mut rng).energy(&mut s)),
             };
             let fi = survivor_frac(&p);
             let failed = CrashPlan::none(n).failed_by(run.run.rounds, &run.energy.depleted_at);
@@ -245,7 +241,7 @@ pub fn faulty_broadcast_trial<T: Topology>(
             let mut p = Faulty::new(EeRandomBroadcast::new(n, 0, a_cfg), plan.clone());
             let mut rng = derive_rng(seed, b"engine", 0);
             let mut s = session();
-            let run = run_protocol_energy(graph, &mut p, engine_cfg, &mut rng, &mut s);
+            let run = run_protocol(graph, &mut p, engine_cfg, Run::v1(&mut rng).energy(&mut s));
             let fi = survivor_frac(p.inner());
             let failed = plan.failed_by(run.run.rounds, &run.energy.depleted_at);
             assert!(
@@ -277,7 +273,7 @@ pub fn faulty_broadcast_trial<T: Topology>(
                 graph,
                 &mut p,
                 EngineConfig::with_max_rounds(g_cfg.max_rounds()),
-                &mut rng,
+                Run::v1(&mut rng),
             );
             let fi = survivors
                 .iter()
@@ -347,20 +343,21 @@ pub fn energy_crossover_trial(
             let engine_cfg = EngineConfig::with_max_rounds(cfg1.schedule_end() + 2);
             let run = match trace.as_mut().and_then(|f| f()) {
                 Some(mut sink) => {
-                    let run = radio_sim::engine::run_protocol_energy_traced(
+                    let run = run_protocol(
                         graph,
                         &mut protocol,
                         engine_cfg,
-                        &mut rng,
-                        &mut session,
-                        &mut sink.sink,
+                        Run::v1(&mut rng).energy(&mut session).sink(&mut sink.sink),
                     );
                     sink.finish(run.run.completed);
                     run
                 }
-                None => {
-                    run_protocol_energy(graph, &mut protocol, engine_cfg, &mut rng, &mut session)
-                }
+                None => run_protocol(
+                    graph,
+                    &mut protocol,
+                    engine_cfg,
+                    Run::v1(&mut rng).energy(&mut session),
+                ),
             };
             let informed = protocol.informed_count();
             return TrialResult::from_energy_run(&run, informed == n, informed)
@@ -449,20 +446,21 @@ pub fn energy_lifetime_trial<T: Topology>(
             let mut rng = derive_rng(seed, b"engine", 0);
             let run = match trace.as_mut().and_then(|f| f()) {
                 Some(mut sink) => {
-                    let run = radio_sim::engine::run_protocol_energy_traced(
+                    let run = run_protocol(
                         graph,
                         &mut protocol,
                         engine_cfg,
-                        &mut rng,
-                        &mut session,
-                        &mut sink.sink,
+                        Run::v1(&mut rng).energy(&mut session).sink(&mut sink.sink),
                     );
                     sink.finish(run.run.completed);
                     run
                 }
-                None => {
-                    run_protocol_energy(graph, &mut protocol, engine_cfg, &mut rng, &mut session)
-                }
+                None => run_protocol(
+                    graph,
+                    &mut protocol,
+                    engine_cfg,
+                    Run::v1(&mut rng).energy(&mut session),
+                ),
             };
             let informed = protocol.informed_count();
             TrialResult::from_energy_run(&run, informed == n, informed)

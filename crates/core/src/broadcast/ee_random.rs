@@ -34,7 +34,7 @@
 use super::{BroadcastOutcome, InformedSet};
 use crate::params::GnpParams;
 use radio_graph::{NodeId, Topology};
-use radio_sim::{Action, EngineConfig, Protocol};
+use radio_sim::{run_protocol, Action, EngineConfig, Protocol, Run};
 use rand::Bernoulli;
 use rand_chacha::ChaCha8Rng;
 
@@ -302,12 +302,11 @@ pub fn run_ee_broadcast_traced<T: Topology>(
 }
 
 /// Run Algorithm 1 under the **v2 determinism contract**
-/// ([`radio_sim::Engine::run_fused`]): per-node counter-based decide
-/// streams, bit-identical for every `engine` thread count (set via
-/// `EngineConfig::with_threads` inside — here the default serial
-/// config; use [`radio_sim::engine::run_protocol_fused`] directly for
-/// explicit thread counts). Statistically equivalent to, but not
-/// bit-compatible with, the v1 [`run_ee_broadcast`] on the same seed.
+/// ([`radio_sim::Run::v2`]): per-node counter-based decide streams,
+/// bit-identical for every engine thread count (here the default serial
+/// config; call [`radio_sim::run_protocol`] directly for explicit thread
+/// counts). Statistically equivalent to, but not bit-compatible with,
+/// the v1 [`run_ee_broadcast`] on the same seed.
 pub fn run_ee_broadcast_fused<T: Topology>(
     graph: &T,
     source: NodeId,
@@ -316,7 +315,7 @@ pub fn run_ee_broadcast_fused<T: Topology>(
 ) -> BroadcastOutcome {
     let mut protocol = EeRandomBroadcast::new(graph.n(), source, *cfg);
     let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
-    let run = radio_sim::engine::run_protocol_fused(graph, &mut protocol, engine_cfg, seed);
+    let run = run_protocol(graph, &mut protocol, engine_cfg, Run::v2(seed));
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),
@@ -336,7 +335,7 @@ fn run_ee_broadcast_with<T: Topology>(
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
     let mut engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
     engine_cfg.record_trace = traced;
-    let run = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let run = run_protocol(graph, &mut protocol, engine_cfg, Run::v1(&mut rng));
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),
@@ -538,7 +537,7 @@ mod tests {
 
     #[test]
     fn fused_v2_is_bit_identical_across_thread_counts() {
-        use radio_sim::{engine::run_protocol_fused, EngineConfig, Protocol};
+        use radio_sim::{engine::run_protocol, EngineConfig, Protocol, Run};
         let (g, cfg) = sparse_instance(512, 8.0, 21);
         let run_at = |threads: usize| {
             let mut protocol = EeRandomBroadcast::new(512, 0, cfg);
@@ -547,7 +546,12 @@ mod tests {
                 par_min_awake: 0, // force the parallel decide path
                 ..EngineConfig::with_max_rounds(cfg.schedule_end() + 2)
             };
-            let run = run_protocol_fused(&g, &mut protocol, engine_cfg.with_threads(threads), 9);
+            let run = run_protocol(
+                &g,
+                &mut protocol,
+                engine_cfg.with_threads(threads),
+                Run::v2(9),
+            );
             (run.rounds, run.metrics, protocol.informed_count())
         };
         let serial = run_at(1);

@@ -19,7 +19,7 @@
 use super::{BroadcastOutcome, InformedSet};
 use crate::params::GnpParams;
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::{Action, EngineConfig, Protocol};
+use radio_sim::{run_protocol, Action, EngineConfig, Protocol, Run};
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
 
@@ -181,7 +181,7 @@ pub fn run_eg_broadcast(
     let mut protocol = EgBroadcast::new(graph.n(), source, *cfg);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
     let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
-    let run = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let run = run_protocol(graph, &mut protocol, engine_cfg, Run::v1(&mut rng));
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),

@@ -20,7 +20,7 @@
 use super::{BroadcastOutcome, InformedSet};
 use crate::seq::{KDistribution, SharedSequence};
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::{Action, EngineConfig, Protocol};
+use radio_sim::{run_protocol, Action, EngineConfig, Protocol, Run};
 use radio_util::ilog2_ceil;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
@@ -212,7 +212,7 @@ pub fn run_epoch_broadcast(
     let mut protocol = EpochBroadcast::new(graph.n(), source, *cfg, seed);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
     let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1);
-    let run = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let run = run_protocol(graph, &mut protocol, engine_cfg, Run::v1(&mut rng));
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),

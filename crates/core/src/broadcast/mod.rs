@@ -29,7 +29,7 @@ pub mod flood;
 pub mod windowed;
 
 pub use windowed::{
-    run_windowed, run_windowed_energy, run_windowed_fused, ProbSource, WindowedBroadcast,
+    run_windowed, run_windowed_energy, run_windowed_fused_traced, ProbSource, WindowedBroadcast,
     WindowedSpec,
 };
 

@@ -17,7 +17,7 @@
 use super::{BroadcastOutcome, InformedSet};
 use crate::seq::{KDistribution, SharedSequence};
 use radio_graph::{NodeId, Topology};
-use radio_sim::{Action, EngineConfig, Protocol};
+use radio_sim::{run_protocol, Action, EngineConfig, Protocol, Run};
 use rand::{Bernoulli, RngExt};
 use rand_chacha::ChaCha8Rng;
 
@@ -291,7 +291,7 @@ pub fn run_windowed<T: Topology>(
 ) -> BroadcastOutcome {
     let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let run = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let run = run_protocol(graph, &mut protocol, engine_cfg, Run::v1(&mut rng));
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),
@@ -315,8 +315,12 @@ pub fn run_windowed_energy<T: Topology>(
 ) -> BroadcastOutcome {
     let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let run =
-        radio_sim::engine::run_protocol_energy(graph, &mut protocol, engine_cfg, &mut rng, session);
+    let run = run_protocol(
+        graph,
+        &mut protocol,
+        engine_cfg,
+        Run::v1(&mut rng).energy(session),
+    );
     BroadcastOutcome::from_energy_run(
         graph.n(),
         protocol.informed_count(),
@@ -326,35 +330,15 @@ pub fn run_windowed_energy<T: Topology>(
 }
 
 /// [`run_windowed`] under the **v2 determinism contract**
-/// ([`radio_sim::Engine::run_fused`]): every node's coin flips come from
-/// its own counter-based stream derived from `(run_seed, node)`, so the
-/// run is bit-identical for every engine thread count — including
+/// ([`Run::v2`]) with a [`radio_sim::trace::TraceSink`] attached (pass
+/// `&mut NullSink` for an untraced run): every node's coin flips come
+/// from its own counter-based stream derived from `(run_seed, node)`, so
+/// the run is bit-identical for every engine thread count — including
 /// `engine_cfg.threads > 1`, where the decide phase itself fans out.
 /// Statistically equivalent to (but not bit-compatible with) the v1
 /// [`run_windowed`] on the same seed; `tests/v2_equivalence.rs`
-/// cross-validates the two.
-pub fn run_windowed_fused<T: Topology>(
-    graph: &T,
-    source: NodeId,
-    spec: WindowedSpec,
-    engine_cfg: EngineConfig,
-    run_seed: u64,
-) -> BroadcastOutcome {
-    run_windowed_fused_traced(
-        graph,
-        source,
-        spec,
-        engine_cfg,
-        run_seed,
-        &mut radio_sim::trace::NullSink,
-    )
-}
-
-/// [`run_windowed_fused`] with a [`radio_sim::trace::TraceSink`]
-/// attached: the identical run (the sink only observes — the engine's
-/// zero-interference property holds it to that), with every round's
-/// structured events emitted to `sink` for recording or replay
-/// verification.
+/// cross-validates the two. The sink only observes (the engine's
+/// zero-interference property holds it to that).
 pub fn run_windowed_fused_traced<T: Topology, S: radio_sim::trace::TraceSink>(
     graph: &T,
     source: NodeId,
@@ -364,12 +348,11 @@ pub fn run_windowed_fused_traced<T: Topology, S: radio_sim::trace::TraceSink>(
     sink: &mut S,
 ) -> BroadcastOutcome {
     let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
-    let run = radio_sim::engine::run_protocol_fused_traced(
+    let run = run_protocol(
         graph,
         &mut protocol,
         engine_cfg,
-        run_seed,
-        sink,
+        Run::v2(run_seed).sink(sink),
     );
     BroadcastOutcome::from_run(
         graph.n(),
@@ -383,6 +366,7 @@ pub fn run_windowed_fused_traced<T: Topology, S: radio_sim::trace::TraceSink>(
 mod tests {
     use super::*;
     use radio_graph::generate::path;
+    use radio_sim::trace::NullSink;
 
     fn fixed_spec(q: f64, window: Option<u64>) -> WindowedSpec {
         WindowedSpec {
@@ -457,7 +441,8 @@ mod tests {
             window: Some(1),
             early_stop: false,
         };
-        let out = run_windowed_fused(&g, 0, spec, EngineConfig::with_max_rounds(100), 5);
+        let cfg = EngineConfig::with_max_rounds(100);
+        let out = run_windowed_fused_traced(&g, 0, spec, cfg, 5, &mut NullSink);
         assert!(out.all_informed);
         assert!(out.max_msgs_per_node() <= 1);
     }
@@ -480,12 +465,13 @@ mod tests {
                 early_stop: true,
             };
             let run = |seed: u64| {
-                let out = run_windowed_fused(
+                let out = run_windowed_fused_traced(
                     &g,
                     0,
                     spec.clone(),
                     EngineConfig::with_max_rounds(5000),
                     seed,
+                    &mut NullSink,
                 );
                 (out.broadcast_time, out.metrics.total_transmissions())
             };

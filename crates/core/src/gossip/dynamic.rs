@@ -11,7 +11,7 @@
 
 use crate::params::GnpParams;
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::{Action, EngineConfig, Protocol};
+use radio_sim::{run_protocol, Action, EngineConfig, Protocol, Run};
 use radio_util::BitSet;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
@@ -219,7 +219,7 @@ pub fn run_dynamic_gossip(
     let mut protocol = DynamicGossip::new(cfg);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
     let engine_cfg = EngineConfig::with_max_rounds(rounds + 1);
-    let _ = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let _ = run_protocol(graph, &mut protocol, engine_cfg, Run::v1(&mut rng));
     protocol.coverage()
 }
 

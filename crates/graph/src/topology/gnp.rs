@@ -350,7 +350,11 @@ mod tests {
                     u64::from(u),
                 ));
                 for _ in 0..32 {
-                    assert_eq!(fast.next_u32(), slow.next_u32(), "seed {graph_seed} row {u}");
+                    assert_eq!(
+                        fast.next_u32(),
+                        slow.next_u32(),
+                        "seed {graph_seed} row {u}"
+                    );
                 }
             }
         }

@@ -173,7 +173,7 @@ pub fn run_adjlist<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_protocol;
+    use crate::engine::{run_protocol, Run};
     use radio_graph::generate::gnp_directed;
     use radio_util::derive_rng;
     use rand::RngExt;
@@ -253,7 +253,7 @@ mod tests {
 
             let mut p1 = CoinFlood::new(140, 0.3);
             let mut rng1 = derive_rng(seed, b"adj-run", 0);
-            let fast = run_protocol(&g, &mut p1, cfg, &mut rng1);
+            let fast = run_protocol(&g, &mut p1, cfg, Run::v1(&mut rng1));
 
             let mut p2 = CoinFlood::new(140, 0.3);
             let mut rng2 = derive_rng(seed, b"adj-run", 0);

@@ -1,4 +1,11 @@
-//! The optimised simulation engine.
+//! The optimised simulation engine: one round loop, one entry point.
+//!
+//! [`Engine::run`] takes the protocol and a [`Run`] spec: the decide
+//! source, which selects the determinism contract by type
+//! ([`Run::v1`]: one shared ChaCha stream; [`Run::v2`]: per-node counter
+//! streams), plus an optional energy session, trace sink and per-round
+//! topology schedule. [`run_protocol`] is the build-an-engine-and-run-once
+//! form of the same call.
 
 use crate::metrics::{EnergyMetrics, Metrics, RoundRecord, Trace};
 use crate::streams::DecideStreams;
@@ -7,6 +14,7 @@ use radio_energy::{Duty, EnergySession};
 use radio_graph::{DiGraph, NodeId, RangeQueryCost, Topology};
 use radio_trace::{NullSink, TraceEvent, TraceSink};
 use rand_chacha::ChaCha8Rng;
+use sealed::{Awake, Decide, EnergyHook, NoEnergy, StreamPool};
 
 /// Engine knobs.
 #[derive(Debug, Clone, Copy)]
@@ -26,10 +34,11 @@ pub struct EngineConfig {
     /// chosen budget, e.g. a fixed-length schedule that always runs to
     /// its cap).
     pub warn_on_round_cap: bool,
-    /// Worker threads for the *intra-run* scatter/collision phase
-    /// (`1` = fully serial, the default). The partition is by receiver
-    /// id range, so any thread count produces bit-identical runs — see
-    /// [`Engine::run_par`] for the determinism contract.
+    /// Worker threads for the *intra-run* parallel phases (`1` = fully
+    /// serial, the default): the scatter/collision phase under both
+    /// contracts and the decide phase under [`Run::v2`]. Any thread
+    /// count produces bit-identical runs — see [`Engine::run`] for the
+    /// determinism contract.
     pub threads: usize,
     /// Minimum per-round edge volume (Σ out-degree over the round's
     /// transmitters) before the **receiver-range** scatter fans out;
@@ -55,12 +64,12 @@ pub struct EngineConfig {
     /// bit-identical results — the overrides exist for tests and
     /// benchmarks that pin one path.
     pub scatter_strategy: ScatterStrategy,
-    /// Minimum awake-list length before the **fused** engine's decide
-    /// phase ([`Engine::run_fused`]) fans out; below it the round's
-    /// decisions are evaluated serially. Like [`par_min_edges`] this is
-    /// purely a performance threshold — the per-node v2 streams make the
-    /// decisions order-independent, so it can never affect results.
-    /// Tests force the parallel path with `0`.
+    /// Minimum awake-list length before the [`Run::v2`] decide phase
+    /// fans out; below it the round's decisions are evaluated serially.
+    /// Like [`par_min_edges`] this is purely a performance threshold —
+    /// the per-node v2 streams make the decisions order-independent, so
+    /// it can never affect results. Tests force the parallel path with
+    /// `0`.
     ///
     /// [`par_min_edges`]: EngineConfig::par_min_edges
     pub par_min_awake: usize,
@@ -106,11 +115,11 @@ impl EngineConfig {
         self
     }
 
-    /// Set the intra-run scatter thread count (chainable). Every run
-    /// entry point honors it — [`Engine::run`], the `*_energy` variants,
-    /// and the windowed/dynamic wrappers that take an `EngineConfig` —
-    /// and the result is bit-identical for every value, so sweeps can
-    /// trade trial-level for run-level parallelism freely.
+    /// Set the intra-run thread count (chainable). It is the only
+    /// thread knob of a run, so it flows through every wrapper that
+    /// takes an `EngineConfig`; the result is bit-identical for every
+    /// value, so sweeps can trade trial-level for run-level parallelism
+    /// freely.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -131,8 +140,8 @@ impl EngineConfig {
 
 /// Which partition the parallel scatter phase uses when a round's edge
 /// volume justifies fanning out. All strategies compute identical
-/// `hits`/`touched` state — see [`Engine::run_par`]'s determinism
-/// contract — so this knob can trade speed but never results.
+/// `hits`/`touched` state — see [`Engine::run`]'s determinism contract —
+/// so this knob can trade speed but never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScatterStrategy {
     /// Pick per backend from [`Topology::range_query_cost`]:
@@ -173,8 +182,8 @@ pub struct RunResult {
 }
 
 /// Result of one simulation run under an energy overlay
-/// ([`Engine::run_energy`] and friends): the plain [`RunResult`] plus the
-/// model-based energy report.
+/// ([`Run::energy`]): the plain [`RunResult`] plus the model-based
+/// energy report.
 #[derive(Debug, Clone)]
 pub struct EnergyRunResult {
     /// The underlying run. With no battery attached it is bit-identical
@@ -190,29 +199,272 @@ pub struct EnergyRunResult {
     pub stopped_on_depletion: bool,
 }
 
-/// Per-round energy integration point of the core loop. Monomorphized:
-/// the [`NoEnergy`] instantiation compiles to exactly the pre-energy
-/// engine (every call site is gated on the `ACTIVE` const).
-trait EnergyHook {
-    /// Whether this hook does anything at all.
-    const ACTIVE: bool;
-    /// Is `node` fail-stop dead (battery depleted before `round`)?
-    fn is_dead(&self, node: NodeId, round: u64) -> bool;
-    /// Charge `node` for `duty` in `round`.
-    fn charge(&mut self, node: NodeId, duty: Duty, round: u64);
-    /// End-of-round accounting (idle/sleep sweep); `true` requests an
-    /// engine stop (network-lifetime halt).
-    fn end_round<P: Protocol>(&mut self, round: u64, protocol: &P) -> bool;
-    /// Keep ticking (charging idle/sleep rounds) past protocol
-    /// quiescence, up to the round cap.
-    fn charge_to_cap(&self) -> bool;
+/// What one run needs besides the protocol, built by chaining:
+///
+/// * the **decide source**, which picks the determinism contract by
+///   type — [`Run::v1`] (one shared stream) or [`Run::v2`] (per-node
+///   counter streams);
+/// * optionally [`energy`](Run::energy): an [`EnergySession`] overlay,
+///   which turns the result into an [`EnergyRunResult`];
+/// * optionally [`sink`](Run::sink): a [`TraceSink`] for the structured
+///   round-by-round event stream;
+/// * optionally [`schedule`](Run::schedule): a sequence of topology
+///   snapshots switched every `k` rounds (node mobility).
+///
+/// For example `engine.run(&mut p, Run::v2(seed).energy(&mut session))`
+/// or `run_protocol(&g, &mut p, cfg, Run::v1(&mut rng).sink(&mut rec))`.
+/// Every option is a monomorphized hook: an absent energy session or
+/// sink compiles out of the round loop entirely.
+#[must_use = "a Run spec does nothing until passed to Engine::run"]
+pub struct Run<'a, T, D, E = NoEnergy, S = NullSink> {
+    decide: D,
+    energy: E,
+    sink: S,
+    /// `(snapshots, switch_every)`; `None` runs on the engine's graph.
+    schedule: Option<(&'a [&'a T], u64)>,
 }
 
-/// The zero-cost hook used by the plain entry points.
-struct NoEnergy;
+/// The [`Run::v1`] decide source: one shared ChaCha stream.
+pub struct SharedStream<'a>(&'a mut ChaCha8Rng);
+
+/// The [`Run::v2`] decide source: per-node counter streams
+/// ([`DecideStreams`]) plus the engine scratch they need for one run.
+pub struct NodeStreams {
+    streams: DecideStreams,
+    pool: StreamPool,
+    /// Poll-list entries whose node went to sleep since the last
+    /// compaction (`in_list[v] && !is_awake[v]`).
+    stale: usize,
+    /// Decide workers and their awake-list threshold, from the run's
+    /// [`EngineConfig`].
+    threads: usize,
+    par_min_awake: usize,
+}
+
+impl<'a, T: Topology> Run<'a, T, SharedStream<'a>> {
+    /// The **v1 determinism contract**: every `decide` and `on_receive`
+    /// draws from `rng`, serially, in poll order and then ascending
+    /// receiver order. Works for any [`Protocol`]; the decide phase stays
+    /// on the calling thread. The committed e5/e16/e17 results are v1.
+    pub fn v1(rng: &'a mut ChaCha8Rng) -> Self {
+        Run {
+            decide: SharedStream(rng),
+            energy: NoEnergy,
+            sink: NullSink,
+            schedule: None,
+        }
+    }
+}
+
+impl<'a, T: Topology> Run<'a, T, NodeStreams> {
+    /// The **v2 determinism contract**: every coin flip comes from a
+    /// stream that is a pure function of `(run_seed, node, round)` — see
+    /// [`DecideStreams`] for the layout — so the decide phase fans out
+    /// over [`EngineConfig::threads`] workers. Needs a [`FusedDecide`]
+    /// protocol. A v2 run and a v1 run of the same seed follow different
+    /// (statistically equivalent) trajectories;
+    /// `tests/v2_equivalence.rs` cross-validates the two. The committed
+    /// e18 results are v2.
+    pub fn v2(run_seed: u64) -> Self {
+        Run {
+            decide: NodeStreams {
+                streams: DecideStreams::new(run_seed),
+                pool: StreamPool::default(),
+                stale: 0,
+                threads: 1,
+                par_min_awake: 0,
+            },
+            energy: NoEnergy,
+            sink: NullSink,
+            schedule: None,
+        }
+    }
+}
+
+impl<'a, T: Topology, D, S> Run<'a, T, D, NoEnergy, S> {
+    /// Attach an energy overlay: duties are charged to `session` per
+    /// round, battery-depleted nodes turn fail-stop dead, and the run
+    /// returns an [`EnergyRunResult`]. The session is reset at run
+    /// start, so one session serves many runs. Charges happen on the
+    /// serial side of the round and the session's own model stream is
+    /// independent of the protocol's, so with no battery attached the
+    /// run is bit-identical to the same run without the overlay.
+    pub fn energy(self, session: &'a mut EnergySession) -> Run<'a, T, D, &'a mut EnergySession, S> {
+        Run {
+            decide: self.decide,
+            energy: session,
+            sink: self.sink,
+            schedule: self.schedule,
+        }
+    }
+}
+
+impl<'a, T: Topology, D, E> Run<'a, T, D, E, NullSink> {
+    /// Attach a structured [`TraceSink`] (pass `&mut sink`) — see the
+    /// `radio-trace` crate for the event model, the recording sinks and
+    /// replay verification. Every emission happens on the serial side
+    /// of the round, so the event stream is identical for every thread
+    /// count, and sinks never touch the protocol RNG, so a traced run is
+    /// bit-identical to its untraced twin (property-tested in
+    /// `tests/trace_zero_interference.rs`).
+    pub fn sink<S: TraceSink>(self, sink: S) -> Run<'a, T, D, E, S> {
+        Run {
+            decide: self.decide,
+            energy: self.energy,
+            sink,
+            schedule: self.schedule,
+        }
+    }
+}
+
+impl<'a, T: Topology, D, E, S> Run<'a, T, D, E, S> {
+    /// Run on a *changing topology*: the network uses `graphs[k]` during
+    /// rounds `k·switch_every + 1 ..= (k+1)·switch_every` and stays on
+    /// the last snapshot afterwards. Models node mobility (the paper's
+    /// §1: "due to the mobility of the nodes, the network topology
+    /// changes over time"); pair it with
+    /// `radio_graph::generate::mobile_geometric_sequence`. The engine's
+    /// own graph only sizes the scratch and must have the snapshots'
+    /// node count.
+    ///
+    /// # Panics
+    /// Panics if `graphs` is empty, `switch_every == 0`, or node counts
+    /// differ across snapshots.
+    pub fn schedule(mut self, graphs: &'a [&'a T], switch_every: u64) -> Self {
+        assert!(!graphs.is_empty(), "need at least one topology snapshot");
+        assert!(switch_every > 0, "switch_every must be positive");
+        let n = graphs[0].n();
+        assert!(
+            graphs.iter().all(|g| g.n() == n),
+            "all topology snapshots must have the same node count"
+        );
+        self.schedule = Some((graphs, switch_every));
+        self
+    }
+}
+
+/// The engine's hook traits and their pooled state. Public in a private
+/// module: nameable in [`Engine::run`]'s bounds, implementable only here.
+mod sealed {
+    use super::*;
+
+    /// Per-round energy integration point of the round loop.
+    /// Monomorphized: the [`NoEnergy`] instantiation compiles to exactly
+    /// the engine without an overlay (every call site is gated on the
+    /// `ACTIVE` const).
+    pub trait EnergyHook: Sync {
+        /// Whether this hook does anything at all.
+        const ACTIVE: bool;
+        /// What a run under this hook returns.
+        type Output;
+        /// Reset for a run over `n` nodes.
+        fn begin(&mut self, n: usize);
+        /// Package the finished run; `halted` = the hook requested the stop.
+        fn finish(self, run: RunResult, halted: bool) -> Self::Output;
+        /// Is `node` fail-stop dead (battery depleted before `round`)?
+        fn is_dead(&self, node: NodeId, round: u64) -> bool;
+        /// Charge `node` for `duty` in `round`.
+        fn charge(&mut self, node: NodeId, duty: Duty, round: u64);
+        /// End-of-round accounting (idle/sleep sweep); `true` requests an
+        /// engine stop (network-lifetime halt).
+        fn end_round<P: Protocol>(&mut self, round: u64, protocol: &P) -> bool;
+        /// Keep ticking (charging idle/sleep rounds) past protocol
+        /// quiescence, up to the round cap.
+        fn charge_to_cap(&self) -> bool;
+    }
+
+    /// The zero-cost hook of a run without an energy overlay.
+    pub struct NoEnergy;
+
+    /// The awake set, pooled on the engine across runs.
+    #[derive(Default)]
+    pub struct Awake {
+        /// Authoritative awake flags.
+        pub flags: Vec<bool>,
+        /// The poll list; capacity `n` reserved up front so delivery-phase
+        /// wakes never reallocate mid-run. Under v2 it may carry stale
+        /// entries (see [`NodeStreams`]).
+        pub list: Vec<NodeId>,
+        /// Number of `true` flags.
+        pub count: usize,
+    }
+
+    /// Scratch of the v2 decide phase, pooled on the engine across runs.
+    #[derive(Default)]
+    pub struct StreamPool {
+        /// Membership flags for the poll list — `in_list[v] &&
+        /// !is_awake[v]` marks a stale entry.
+        pub in_list: Vec<bool>,
+        /// Serial-path decide events.
+        pub events: Vec<(NodeId, DecideEvent)>,
+        /// Per-worker decide events of the parallel phase.
+        pub par_events: Vec<Vec<(NodeId, DecideEvent)>>,
+        /// Per-node ChaCha key words, filled at node-wake time each run
+        /// (32 B/node; sized on the first v2 run so v1-only engines never
+        /// pay for it). Read concurrently by the decide workers; written
+        /// only in the serial init/delivery phases.
+        pub node_keys: Vec<[u32; 8]>,
+    }
+
+    /// A decide source: the part of a round the v1 and v2 contracts
+    /// disagree on — the decide/commit phase, the awake-list
+    /// discipline, the delivery RNG and the key caching on wake.
+    pub trait Decide<P: Protocol> {
+        /// Reset for a run over `n` nodes under `cfg`, taking pooled
+        /// scratch.
+        fn begin(&mut self, pool: &mut StreamPool, n: usize, cfg: &EngineConfig);
+        /// Return the pooled scratch.
+        fn end(self, pool: &mut StreamPool);
+        /// `v` just woke (initially or by a delivery); its flag and the
+        /// awake count are already set. Put it on the poll list.
+        fn enlist(&mut self, list: &mut Vec<NodeId>, v: NodeId);
+        /// The decide phase of `round`: append this round's transmitters
+        /// to `transmitters` in poll order, take sleepers and the dead
+        /// out of the awake set, and emit their `Transmit`/`Sleep`/
+        /// `Depleted` events.
+        fn decide<E: EnergyHook, S: TraceSink>(
+            &mut self,
+            protocol: &mut P,
+            round: u64,
+            awake: &mut Awake,
+            hook: &E,
+            sink: &mut S,
+            transmitters: &mut Vec<NodeId>,
+        );
+        /// Run `deliver` with the stream `v`'s `on_receive` draws from.
+        fn receive<R>(
+            &mut self,
+            v: NodeId,
+            round: u64,
+            deliver: impl FnOnce(&mut ChaCha8Rng) -> R,
+        ) -> R;
+    }
+
+    /// A non-silent outcome of the v2 decide phase, tagged onto the node
+    /// it belongs to. Workers emit `(node, event)` pairs in awake-list
+    /// order; silent nodes emit nothing, which is what keeps the serial
+    /// commit sweep sparse.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum DecideEvent {
+        /// The node transmits this round.
+        Transmit,
+        /// The node goes to sleep (commit + awake-bookkeeping).
+        Sleep,
+        /// The node's battery ran out in an earlier round: fail-stop,
+        /// off the poll list for good, no protocol commit.
+        Dead,
+    }
+}
+
+use sealed::DecideEvent;
 
 impl EnergyHook for NoEnergy {
     const ACTIVE: bool = false;
+    type Output = RunResult;
+    fn begin(&mut self, _n: usize) {}
+    fn finish(self, run: RunResult, _halted: bool) -> RunResult {
+        run
+    }
     #[inline(always)]
     fn is_dead(&self, _node: NodeId, _round: u64) -> bool {
         false
@@ -229,8 +481,25 @@ impl EnergyHook for NoEnergy {
     }
 }
 
-impl EnergyHook for EnergySession {
+impl EnergyHook for &mut EnergySession {
     const ACTIVE: bool = true;
+    type Output = EnergyRunResult;
+    fn begin(&mut self, n: usize) {
+        assert_eq!(
+            self.n(),
+            n,
+            "energy session node count must match the graph"
+        );
+        EnergySession::begin(self);
+    }
+    fn finish(self, run: RunResult, halted: bool) -> EnergyRunResult {
+        let energy = self.finalize(run.metrics.per_node());
+        EnergyRunResult {
+            run,
+            energy,
+            stopped_on_depletion: halted,
+        }
+    }
     #[inline]
     fn is_dead(&self, node: NodeId, round: u64) -> bool {
         EnergySession::is_dead(self, node, round)
@@ -249,6 +518,276 @@ impl EnergyHook for EnergySession {
     }
 }
 
+impl<P: Protocol> Decide<P> for SharedStream<'_> {
+    fn begin(&mut self, _pool: &mut StreamPool, _n: usize, _cfg: &EngineConfig) {}
+
+    fn end(self, _pool: &mut StreamPool) {}
+
+    #[inline]
+    fn enlist(&mut self, list: &mut Vec<NodeId>, v: NodeId) {
+        list.push(v);
+    }
+
+    /// The serial poll: `decide` for every awake node in list order on
+    /// the shared stream, compacting sleepers and the dead out of the
+    /// list in place — so the v1 list never carries stale entries.
+    fn decide<E: EnergyHook, S: TraceSink>(
+        &mut self,
+        protocol: &mut P,
+        round: u64,
+        awake: &mut Awake,
+        hook: &E,
+        sink: &mut S,
+        transmitters: &mut Vec<NodeId>,
+    ) {
+        let Awake { flags, list, count } = awake;
+        let mut w = 0usize;
+        for r in 0..list.len() {
+            let v = list[r];
+            if !flags[v as usize] {
+                continue; // stale entry
+            }
+            if E::ACTIVE && hook.is_dead(v, round) {
+                // Battery ran out in an earlier round: fail-stop, off
+                // the poll list for good (a dead node can't be woken).
+                flags[v as usize] = false;
+                *count -= 1;
+                if S::ACTIVE {
+                    sink.emit(TraceEvent::Depleted { node: v });
+                }
+                continue;
+            }
+            match protocol.decide(v, round, self.0) {
+                Action::Silent => {
+                    list[w] = v;
+                    w += 1;
+                }
+                Action::Transmit => {
+                    transmitters.push(v);
+                    list[w] = v;
+                    w += 1;
+                    if S::ACTIVE {
+                        sink.emit(TraceEvent::Transmit { node: v });
+                    }
+                }
+                Action::Sleep => {
+                    flags[v as usize] = false;
+                    *count -= 1;
+                    if S::ACTIVE {
+                        sink.emit(TraceEvent::Sleep { node: v });
+                    }
+                }
+            }
+        }
+        list.truncate(w);
+    }
+
+    #[inline]
+    fn receive<R>(
+        &mut self,
+        _v: NodeId,
+        _round: u64,
+        deliver: impl FnOnce(&mut ChaCha8Rng) -> R,
+    ) -> R {
+        deliver(self.0)
+    }
+}
+
+impl<P: FusedDecide> Decide<P> for NodeStreams {
+    fn begin(&mut self, pool: &mut StreamPool, n: usize, cfg: &EngineConfig) {
+        // Take the engine's pool (a panicked run leaves it empty, so
+        // reset by clear + resize rather than `fill`).
+        self.pool = std::mem::take(pool);
+        self.stale = 0;
+        self.threads = cfg.threads.max(1);
+        self.par_min_awake = cfg.par_min_awake;
+        let p = &mut self.pool;
+        p.in_list.clear();
+        p.in_list.resize(n, false);
+        p.events.clear();
+        // The key cache needs sizing, not clearing: every entry is
+        // (re)derived for this run's seed at the node's wake — before
+        // any decide reads it — so stale words from a previous run are
+        // never observable.
+        if p.node_keys.len() != n {
+            p.node_keys.clear();
+            p.node_keys.resize(n, [0u32; 8]);
+        }
+    }
+
+    fn end(self, pool: &mut StreamPool) {
+        *pool = self.pool;
+    }
+
+    #[inline]
+    fn enlist(&mut self, list: &mut Vec<NodeId>, v: NodeId) {
+        let vi = v as usize;
+        if self.pool.in_list[vi] {
+            // Re-woken stale entry: already listed (and its key is
+            // already cached for this run).
+            self.stale -= 1;
+        } else {
+            self.pool.in_list[vi] = true;
+            self.pool.node_keys[vi] = self.streams.node_key(v);
+            list.push(v);
+        }
+    }
+
+    /// The fused decide phase:
+    ///
+    /// * **decide** — evaluated by up to [`EngineConfig::threads`]
+    ///   workers over contiguous awake-list chunks via
+    ///   [`FusedDecide::decide_pure`] and the node's own positioned
+    ///   stream ([`decide_span`]); workers emit only non-silent
+    ///   `(node, event)` pairs, which concatenate (worker order = list
+    ///   order) into the serial commit sweep, so the serial half is
+    ///   `O(transmitters + sleepers)`, not `O(awake)`.
+    /// * **awake list** — sleepers are *not* compacted inline (the
+    ///   commit sweep never walks the full list); they stay as stale
+    ///   entries skipped by the workers, and one eager `retain` pass
+    ///   compacts the list when more than half of it has gone stale
+    ///   (mass passivation — Algorithm 1's Phase 2, retirement windows).
+    fn decide<E: EnergyHook, S: TraceSink>(
+        &mut self,
+        protocol: &mut P,
+        round: u64,
+        awake: &mut Awake,
+        hook: &E,
+        sink: &mut S,
+        transmitters: &mut Vec<NodeId>,
+    ) {
+        protocol.begin_round(round);
+        let StreamPool {
+            in_list,
+            events,
+            par_events,
+            node_keys,
+        } = &mut self.pool;
+        let Awake { flags, list, count } = awake;
+        events.clear();
+        let len = list.len();
+        let t = if self.threads > 1 && len >= self.par_min_awake.max(2) {
+            self.threads.min(len)
+        } else {
+            1
+        };
+        if t > 1 {
+            // Index-chunk partition: worker `w` evaluates the decisions
+            // of one contiguous slice of the awake list. Chunk
+            // boundaries cannot influence anything — each decision
+            // depends only on (run_seed, node, round) and the
+            // round-start protocol state — and concatenating the
+            // per-worker event lists in worker order reproduces list
+            // order exactly.
+            if par_events.len() < t {
+                par_events.resize_with(t, Vec::new);
+            }
+            let awake_flags: &[bool] = flags;
+            let keys: &[[u32; 8]] = node_keys;
+            let proto: &P = protocol;
+            let mut rest: &[NodeId] = list;
+            let mut lo = 0usize;
+            std::thread::scope(|scope| {
+                for (w, ev_w) in par_events[..t].iter_mut().enumerate() {
+                    let hi = (w + 1) * len / t;
+                    let (chunk, tail) = rest.split_at(hi - lo);
+                    rest = tail;
+                    ev_w.clear();
+                    // Worst case: every node in the chunk decides
+                    // non-silently (no-op once warmed up).
+                    ev_w.reserve(chunk.len());
+                    let work = move |ev_w: &mut Vec<(NodeId, DecideEvent)>| {
+                        decide_span(chunk, awake_flags, keys, round, proto, hook, ev_w);
+                    };
+                    if w + 1 == t {
+                        work(ev_w);
+                    } else {
+                        scope.spawn(move || work(ev_w));
+                    }
+                    lo = hi;
+                }
+            });
+            for w in &par_events[..t] {
+                events.extend_from_slice(w);
+            }
+        } else {
+            decide_span(list, flags, node_keys, round, protocol, hook, events);
+        }
+
+        // Serial commit, in poll order.
+        for &(v, ev) in events.iter() {
+            let vi = v as usize;
+            match ev {
+                DecideEvent::Transmit => {
+                    protocol.commit_decide(v, round, Action::Transmit);
+                    transmitters.push(v);
+                    if S::ACTIVE {
+                        sink.emit(TraceEvent::Transmit { node: v });
+                    }
+                }
+                DecideEvent::Sleep => {
+                    protocol.commit_decide(v, round, Action::Sleep);
+                    flags[vi] = false;
+                    *count -= 1;
+                    self.stale += 1;
+                    if S::ACTIVE {
+                        sink.emit(TraceEvent::Sleep { node: v });
+                    }
+                }
+                DecideEvent::Dead => {
+                    // Battery ran out in an earlier round: fail-stop,
+                    // no protocol commit (a dead node can't be woken).
+                    flags[vi] = false;
+                    *count -= 1;
+                    self.stale += 1;
+                    if S::ACTIVE {
+                        sink.emit(TraceEvent::Depleted { node: v });
+                    }
+                }
+            }
+        }
+
+        // Eager stale compaction: the sparse commit above never walks
+        // the full list, so sleepers would otherwise be carried (and
+        // skipped by the decide workers) until a re-wake. Once more than
+        // half the list disagrees with the flags — mass passivation — one
+        // O(len) retain pass beats every future round's stale skips.
+        if self.stale * 2 > list.len() {
+            list.retain(|&v| {
+                let keep = flags[v as usize];
+                if !keep {
+                    in_list[v as usize] = false;
+                }
+                keep
+            });
+            self.stale = 0;
+            debug_assert_eq!(
+                flags.iter().filter(|&&b| b).count(),
+                *count,
+                "is_awake flags diverged from awake_count"
+            );
+        }
+        debug_assert_eq!(
+            list.len(),
+            *count + self.stale,
+            "awake-count invariant: list = awake + stale"
+        );
+    }
+
+    /// `on_receive` draws from the receiver's v2 receive lane —
+    /// constructing the positioned stream is lazy state setup, costing
+    /// nothing unless the protocol actually draws.
+    #[inline]
+    fn receive<R>(
+        &mut self,
+        v: NodeId,
+        round: u64,
+        deliver: impl FnOnce(&mut ChaCha8Rng) -> R,
+    ) -> R {
+        deliver(&mut self.streams.receive_rng(v, round))
+    }
+}
+
 /// Per-node round-stamped scratch, packed into one 8-byte record (eight
 /// per cache line) so the scatter loop's random access to a target costs
 /// a single line instead of three — separate `stamp`/`hit_count`/
@@ -259,8 +798,7 @@ impl EnergyHook for EnergySession {
 /// The collision rule only needs "exactly one transmitter in range", so
 /// the paper-faithful count collapses to one *collided* bit folded into
 /// the stamp word. Stamps are `u32` round numbers (`0` = never; rounds
-/// are 1-based); [`Engine::run_with`] asserts the round cap fits 31
-/// bits.
+/// are 1-based); [`Engine::run`] asserts the round cap fits 31 bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 struct HitRecord {
@@ -361,22 +899,7 @@ pub fn scatter_plan(
     }
 }
 
-/// A non-silent outcome of the fused decide phase, tagged onto the node
-/// it belongs to. Workers emit `(node, event)` pairs in awake-list order;
-/// silent nodes emit nothing, which is what keeps the serial commit sweep
-/// sparse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DecideEvent {
-    /// The node transmits this round (commit + metrics + duty charge).
-    Transmit,
-    /// The node goes to sleep (commit + awake-bookkeeping).
-    Sleep,
-    /// The node's battery ran out in an earlier round: fail-stop, off the
-    /// poll list for good, no protocol commit.
-    Dead,
-}
-
-/// Evaluate the fused decide phase over one span of the awake list,
+/// Evaluate the v2 decide phase over one span of the awake list,
 /// generating the nodes' decide blocks in **wide ChaCha batches**
 /// ([`rand_chacha::chacha8_blocks`]) instead of one scalar block per draw.
 ///
@@ -484,13 +1007,12 @@ fn decide_span<P, E>(
 /// queries without ever materialising O(m) edge storage.
 ///
 /// **Allocation-free steady state:** every piece of per-run scratch —
-/// the stamped `hits` records, the awake bookkeeping (`is_awake`,
-/// `in_list`, `awake_list`), the per-round `transmitters`/`touched`/
-/// decide-event buffers, and the per-worker lists of the parallel
-/// phases — lives in pools owned by the engine and sized to the graph
-/// once, so a trial loop over seeds on a fixed graph performs **zero
-/// heap allocations after round 1 of a run** beyond the returned
-/// metrics vector (pinned by the counting-allocator test in
+/// the stamped `hits` records, the awake set, the per-round
+/// `transmitters`/`touched`/decide-event buffers, and the per-worker
+/// lists of the parallel phases — lives in pools owned by the engine and
+/// sized to the graph once, so a trial loop over seeds on a fixed graph
+/// performs **zero heap allocations after round 1 of a run** beyond the
+/// returned metrics vector (pinned by the counting-allocator test in
 /// `crates/sim/tests/alloc_free.rs`; parallel rounds additionally pay
 /// the OS-level scoped-thread spawns, which is why that test runs the
 /// serial path). At `n = 2²⁰` this saves a multi-MB alloc + zero per
@@ -516,27 +1038,12 @@ pub struct Engine<'g, T: Topology = DiGraph> {
     /// worker `w`'s hits landing in receiver range `r`, the merge phase
     /// drains column `r` in worker order (= serial transmitter order).
     shard_hits: Vec<Vec<Vec<(NodeId, NodeId)>>>,
-    /// Authoritative awake flags (pooled across runs).
-    is_awake: Vec<bool>,
-    /// Membership flags for `awake_list` — `in_list[v] && !is_awake[v]`
-    /// marks a *stale* entry the fused engine carries until the eager
-    /// compaction threshold trips (see `run_fused_core`).
-    in_list: Vec<bool>,
-    /// The poll list; capacity `n` reserved up front so delivery-phase
-    /// wakes never reallocate mid-run.
-    awake_list: Vec<NodeId>,
+    /// The awake set.
+    awake: Awake,
     /// This round's transmitters, in poll order.
     transmitters: Vec<NodeId>,
-    /// Serial-path decide events of the fused engine.
-    events: Vec<(NodeId, DecideEvent)>,
-    /// Per-worker decide events of the fused engine's parallel phase.
-    par_events: Vec<Vec<(NodeId, DecideEvent)>>,
-    /// Per-node ChaCha key words for the fused engine's v2 streams,
-    /// filled lazily at node-wake time each run (32 B/node; sized on
-    /// the first fused run so v1-only engines never pay for it). Read
-    /// concurrently by the decide workers; written only in the serial
-    /// init/delivery phases.
-    node_keys: Vec<[u32; 8]>,
+    /// Scratch of the v2 decide phase.
+    streams: StreamPool,
 }
 
 impl<'g, T: Topology> Engine<'g, T> {
@@ -551,13 +1058,16 @@ impl<'g, T: Topology> Engine<'g, T> {
             touched: Vec::with_capacity(n),
             par_touched: Vec::new(),
             shard_hits: Vec::new(),
-            is_awake: vec![false; n],
-            in_list: vec![false; n],
-            awake_list: Vec::with_capacity(n),
+            awake: Awake {
+                flags: vec![false; n],
+                list: Vec::with_capacity(n),
+                count: 0,
+            },
             transmitters: Vec::with_capacity(n),
-            events: Vec::with_capacity(n),
-            par_events: Vec::new(),
-            node_keys: Vec::new(),
+            streams: StreamPool {
+                events: Vec::with_capacity(n),
+                ..StreamPool::default()
+            },
         }
     }
 
@@ -566,27 +1076,21 @@ impl<'g, T: Topology> Engine<'g, T> {
         &self.cfg
     }
 
-    /// Run `protocol` to completion (or the round cap) with `rng`,
-    /// using [`EngineConfig::threads`] scatter workers (1 by default).
-    pub fn run<P: Protocol>(&mut self, protocol: &mut P, rng: &mut ChaCha8Rng) -> RunResult {
-        let g = self.graph;
-        self.run_with(|_| g, protocol, rng)
-    }
-
-    /// [`Engine::run`] with an explicit intra-run thread count. The
-    /// argument **overrides** [`EngineConfig::threads`] for this run
-    /// only — prefer one mechanism per call site: `with_threads` on the
-    /// config when the count is part of the experiment setup (it flows
-    /// through every wrapper that takes an `EngineConfig`), this entry
-    /// point when a caller varies the count per run (the determinism
-    /// tests, the bench's `2t`/`8t` entries).
+    /// Run `protocol` to completion, to quiescence, or to the round cap,
+    /// as `run` specifies (see [`Run`]). Returns a [`RunResult`], or an
+    /// [`EnergyRunResult`] when the spec carries an energy session.
     ///
     /// # Determinism contract
     ///
-    /// The round loop stays serial where randomness lives (the per-node
-    /// `decide` draws and the ascending-receiver delivery sweep); only
-    /// the scatter/collision-count phase fans out, in one of two
-    /// partitions picked per backend by [`scatter_plan`]:
+    /// Every phase that consumes randomness or emits events runs on the
+    /// calling thread in a fixed order: the commit of the round's
+    /// decisions in poll order, then the delivery sweep in ascending
+    /// receiver order. Under [`Run::v1`] the decide phase itself is that
+    /// serial poll. Under [`Run::v2`] the per-node streams make each
+    /// decision independent of evaluation order, so the decide phase
+    /// fans out over [`EngineConfig::threads`] workers and only the
+    /// sparse commit is serial. The scatter/collision phase fans out in
+    /// one of two partitions picked per backend by [`scatter_plan`]:
     ///
     /// * **Receiver id range** (CSR): each worker streams the full
     ///   transmitter list over the rows but writes [`HitRecord`]s only
@@ -597,176 +1101,47 @@ impl<'g, T: Topology> Engine<'g, T> {
     ///   the buckets in shard order — which *is* the serial transmitter
     ///   order — so every receiver resolves to the serial outcome.
     ///
-    /// Either way the delivery order (ascending receiver id) is
-    /// unchanged, so serial and N-thread runs are bit-identical *by
+    /// Serial and N-thread runs are therefore bit-identical *by
     /// construction* — the same guarantee the sweep layer gives for
     /// trial-level fan-out.
-    pub fn run_par<P: Protocol>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        threads: usize,
-    ) -> RunResult {
-        assert!(threads >= 1, "threads must be at least 1");
-        let g = self.graph;
-        self.run_core(|_| g, protocol, rng, &mut NoEnergy, &mut NullSink, threads)
-            .0
-    }
-
-    /// [`Engine::run`] with a structured [`TraceSink`] receiving the
-    /// round-by-round event stream — see the `radio-trace` crate for the
-    /// event model, the recording sinks, and replay verification.
-    ///
-    /// The sink is a monomorphized hook exactly like the energy overlay:
-    /// with [`NullSink`] every emission site compiles out, so the
-    /// untraced entry points keep their existing codegen, and a
-    /// recording sink costs one buffered push per event on the serial
-    /// side of the round. Sinks observe the run without influencing it —
-    /// they never touch the protocol RNG — so a traced run is
-    /// bit-identical to its untraced twin (property-tested in
-    /// `tests/trace_zero_interference.rs`).
-    pub fn run_traced<P: Protocol, S: TraceSink>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        sink: &mut S,
-    ) -> RunResult {
-        let threads = self.cfg.threads.max(1);
-        let g = self.graph;
-        self.run_core(|_| g, protocol, rng, &mut NoEnergy, sink, threads)
-            .0
-    }
-
-    /// [`Engine::run_energy`] with a structured [`TraceSink`] — the
-    /// energy overlay and the trace hook compose; see
-    /// [`Engine::run_traced`].
-    pub fn run_energy_traced<P: Protocol, S: TraceSink>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-        sink: &mut S,
-    ) -> EnergyRunResult {
-        let threads = self.cfg.threads.max(1);
-        let g = self.graph;
-        self.run_energy_core(|_| g, protocol, rng, session, sink, threads)
-    }
-
-    /// [`Engine::run_par`] with an energy overlay — the parallel scatter
-    /// never touches the session (duty charges happen on the serial
-    /// side), so overlay runs keep the same bit-identity guarantee.
-    pub fn run_par_energy<P: Protocol>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-        threads: usize,
-    ) -> EnergyRunResult {
-        assert!(threads >= 1, "threads must be at least 1");
-        let g = self.graph;
-        self.run_energy_core(|_| g, protocol, rng, session, &mut NullSink, threads)
-    }
-
-    /// [`Engine::run`] with an energy overlay: duties are charged to
-    /// `session` per round, battery-depleted nodes turn fail-stop dead,
-    /// and the result carries an [`EnergyMetrics`] report. The session is
-    /// reset at run start, so one session serves many runs.
-    pub fn run_energy<P: Protocol>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-    ) -> EnergyRunResult {
-        let g = self.graph;
-        self.run_with_energy(|_| g, protocol, rng, session)
-    }
-
-    /// Core loop with a per-round topology: `pick(round)` returns the
-    /// graph in force during that round. All graphs must have the same
-    /// node count as the engine's sizing graph. This is the mobility
-    /// entry point — see [`run_dynamic`].
-    pub fn run_with<F, P>(&mut self, pick: F, protocol: &mut P, rng: &mut ChaCha8Rng) -> RunResult
+    pub fn run<P, D, E, S>(&mut self, protocol: &mut P, run: Run<'_, T, D, E, S>) -> E::Output
     where
-        F: Fn(u64) -> &'g T,
         P: Protocol,
-    {
-        let threads = self.cfg.threads.max(1);
-        self.run_core(pick, protocol, rng, &mut NoEnergy, &mut NullSink, threads)
-            .0
-    }
-
-    /// [`Engine::run_with`] with an energy overlay — see
-    /// [`Engine::run_energy`].
-    pub fn run_with_energy<F, P>(
-        &mut self,
-        pick: F,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-    ) -> EnergyRunResult
-    where
-        F: Fn(u64) -> &'g T,
-        P: Protocol,
-    {
-        let threads = self.cfg.threads.max(1);
-        self.run_energy_core(pick, protocol, rng, session, &mut NullSink, threads)
-    }
-
-    /// Shared energy-overlay wrapper: session lifecycle around the core
-    /// loop at an explicit thread count.
-    fn run_energy_core<F, P, S>(
-        &mut self,
-        pick: F,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-        sink: &mut S,
-        threads: usize,
-    ) -> EnergyRunResult
-    where
-        F: Fn(u64) -> &'g T,
-        P: Protocol,
+        D: Decide<P>,
+        E: EnergyHook,
         S: TraceSink,
     {
-        assert_eq!(
-            session.n(),
-            self.graph.n(),
-            "energy session node count must match the graph"
-        );
-        session.begin();
-        let (run, stopped_on_depletion) =
-            self.run_core(pick, protocol, rng, session, sink, threads);
-        let energy = session.finalize(run.metrics.per_node());
-        EnergyRunResult {
-            run,
-            energy,
-            stopped_on_depletion,
-        }
+        let Run {
+            decide,
+            mut energy,
+            mut sink,
+            schedule,
+        } = run;
+        energy.begin(self.graph.n());
+        let (result, halted) = self.round_loop(protocol, decide, &mut energy, &mut sink, schedule);
+        energy.finish(result, halted)
     }
 
-    /// The round loop, generic over the energy hook and the trace sink.
-    /// Returns the run and whether the hook requested an early stop.
-    /// `threads` is the scatter worker count; every value yields
-    /// bit-identical results (see [`Engine::run_par`]).
+    /// The round loop, generic over the decide source, the energy hook
+    /// and the trace sink. Returns the run and whether the hook
+    /// requested an early stop.
     ///
     /// Every `sink.emit` site is gated on `S::ACTIVE`, so the
-    /// [`NullSink`] instantiation compiles to exactly the pre-trace
-    /// loop. Emissions happen only on the serial side — the round
-    /// preamble, the poll sweep, and the ascending-receiver delivery
-    /// sweep — so the event order is deterministic and identical for
-    /// every thread count.
-    fn run_core<F, P, E, S>(
+    /// [`NullSink`] instantiation compiles to the untraced loop.
+    /// Emissions happen only on the serial side — the round preamble,
+    /// the commit of the decisions, and the ascending-receiver delivery
+    /// sweep — so the event order is identical for every thread count.
+    fn round_loop<P, D, E, S>(
         &mut self,
-        pick: F,
         protocol: &mut P,
-        rng: &mut ChaCha8Rng,
+        mut decide: D,
         hook: &mut E,
         sink: &mut S,
-        threads: usize,
+        schedule: Option<(&[&T], u64)>,
     ) -> (RunResult, bool)
     where
-        F: Fn(u64) -> &'g T,
         P: Protocol,
+        D: Decide<P>,
         E: EnergyHook,
         S: TraceSink,
     {
@@ -776,6 +1151,13 @@ impl<'g, T: Topology> Engine<'g, T> {
             "max_rounds must fit the 31-bit round stamps (< {})",
             u32::MAX >> 1
         );
+        if let Some((graphs, _)) = schedule {
+            assert_eq!(
+                graphs[0].n(),
+                n,
+                "topology snapshots must have the engine graph's node count"
+            );
+        }
         let mut metrics = Metrics::new(n);
         // Round numbers restart at 1 every run, so stale stamps from a
         // previous run on this engine would alias; reset them.
@@ -785,8 +1167,6 @@ impl<'g, T: Topology> Engine<'g, T> {
 
         // Awake bookkeeping, taken from the engine's pools (restored at
         // the end of the run) so repeated runs allocate nothing here.
-        // The v1 poll sweep compacts sleepers inline, so `awake_list`
-        // never carries stale entries; `is_awake` stays authoritative.
         //
         // Reset by clear + resize, not `fill`: a run that panicked out
         // (protocol assert, poisoned hook) leaves the pools taken —
@@ -794,19 +1174,18 @@ impl<'g, T: Topology> Engine<'g, T> {
         // them instead of indexing out of bounds. On the normal warm
         // path this writes exactly what `fill(false)` would, with no
         // allocation.
-        let mut is_awake = std::mem::take(&mut self.is_awake);
-        let mut awake_list = std::mem::take(&mut self.awake_list);
+        let mut awake = std::mem::take(&mut self.awake);
         let mut transmitters = std::mem::take(&mut self.transmitters);
-        is_awake.clear();
-        is_awake.resize(n, false);
-        awake_list.clear();
-        transmitters.clear();
-        let mut awake_count = 0usize;
+        awake.flags.clear();
+        awake.flags.resize(n, false);
+        awake.list.clear();
+        awake.count = 0;
+        decide.begin(&mut self.streams, n, &self.cfg);
         for v in protocol.initially_awake() {
-            if !is_awake[v as usize] {
-                is_awake[v as usize] = true;
-                awake_count += 1;
-                awake_list.push(v);
+            if !awake.flags[v as usize] {
+                awake.flags[v as usize] = true;
+                awake.count += 1;
+                decide.enlist(&mut awake.list, v);
             }
         }
 
@@ -823,7 +1202,7 @@ impl<'g, T: Topology> Engine<'g, T> {
         while !completed
             && !halted
             && rounds < self.cfg.max_rounds
-            && (awake_count > 0 || (E::ACTIVE && hook.charge_to_cap()))
+            && (awake.count > 0 || (E::ACTIVE && hook.charge_to_cap()))
         {
             rounds += 1;
             let round = rounds;
@@ -831,67 +1210,33 @@ impl<'g, T: Topology> Engine<'g, T> {
                                        // `stamp` values for this round: clean reception vs collision.
             let hit_once = rstamp << 1;
             let hit_many = hit_once | 1;
-            let graph = pick(round);
+            let graph = match schedule {
+                Some((graphs, every)) => {
+                    graphs[(((round - 1) / every) as usize).min(graphs.len() - 1)]
+                }
+                None => self.graph,
+            };
             debug_assert_eq!(graph.n(), n, "topology changed node count mid-run");
             if S::ACTIVE {
                 sink.emit(TraceEvent::RoundStart { round });
             }
 
-            // --- poll phase -------------------------------------------------
+            // --- decide phase ------------------------------------------------
             transmitters.clear();
-            let mut w = 0usize;
-            for r in 0..awake_list.len() {
-                let v = awake_list[r];
-                if !is_awake[v as usize] {
-                    continue; // stale entry
-                }
-                if E::ACTIVE && hook.is_dead(v, round) {
-                    // Battery ran out in an earlier round: fail-stop, off
-                    // the poll list for good (a dead node can't be woken).
-                    is_awake[v as usize] = false;
-                    awake_count -= 1;
-                    if S::ACTIVE {
-                        sink.emit(TraceEvent::Depleted { node: v });
-                    }
-                    continue;
-                }
-                match protocol.decide(v, round, rng) {
-                    Action::Silent => {
-                        awake_list[w] = v;
-                        w += 1;
-                    }
-                    Action::Transmit => {
-                        transmitters.push(v);
-                        self.sent[v as usize] = rstamp;
-                        awake_list[w] = v;
-                        w += 1;
-                        if S::ACTIVE {
-                            sink.emit(TraceEvent::Transmit { node: v });
-                        }
-                    }
-                    Action::Sleep => {
-                        is_awake[v as usize] = false;
-                        awake_count -= 1;
-                        if S::ACTIVE {
-                            sink.emit(TraceEvent::Sleep { node: v });
-                        }
-                    }
-                }
-            }
-            awake_list.truncate(w);
+            decide.decide(protocol, round, &mut awake, hook, sink, &mut transmitters);
 
-            // --- transmit phase ---------------------------------------------
+            // --- transmit phase ----------------------------------------------
             // Metrics and duty charges are serial side effects; keep them
-            // out of the (possibly parallel) scatter so both paths see
+            // out of the (possibly parallel) scatter so every path sees
             // the identical per-transmitter order.
             for &u in &transmitters {
+                self.sent[u as usize] = rstamp;
                 metrics.record_transmission(u);
                 if E::ACTIVE {
                     hook.charge(u, Duty::Transmit, round);
                 }
             }
-            let touched_sorted =
-                self.scatter_round(graph, &transmitters, hit_once, hit_many, threads);
+            let touched_sorted = self.scatter_round(graph, &transmitters, hit_once, hit_many);
 
             // --- delivery phase ----------------------------------------------
             // Payloads are materialised once per transmitter, not per
@@ -908,30 +1253,28 @@ impl<'g, T: Topology> Engine<'g, T> {
             let mut first_receptions = 0u64;
             if !transmitters.is_empty() {
                 let dense = self.touched.len() >= n / 8;
-                let mut deliver_to = |v: NodeId,
-                                      protocol: &mut P,
-                                      rng: &mut ChaCha8Rng,
-                                      hook: &mut E,
-                                      sink: &mut S| {
+                let mut deliver_to = |v: NodeId, protocol: &mut P, hook: &mut E, sink: &mut S| {
                     let vi = v as usize;
                     if S::ACTIVE && self.hits[vi].stamp == hit_many {
                         sink.emit(TraceEvent::Collision { node: v });
                     }
-                    let delivered = deliver_one(
-                        &self.hits,
-                        &self.sent,
-                        self.cfg.half_duplex,
-                        hit_once,
-                        rstamp,
-                        v,
-                        round,
-                        protocol,
-                        hook,
-                        rng,
-                        &mut deliveries,
-                        &mut first_receptions,
-                    );
-                    let woke = delivered && !is_awake[vi];
+                    let delivered = decide.receive(v, round, |rng| {
+                        deliver_one(
+                            &self.hits,
+                            &self.sent,
+                            self.cfg.half_duplex,
+                            hit_once,
+                            rstamp,
+                            v,
+                            round,
+                            protocol,
+                            hook,
+                            rng,
+                            &mut deliveries,
+                            &mut first_receptions,
+                        )
+                    });
+                    let woke = delivered && !awake.flags[vi];
                     if S::ACTIVE && delivered {
                         sink.emit(TraceEvent::Deliver {
                             node: v,
@@ -940,15 +1283,15 @@ impl<'g, T: Topology> Engine<'g, T> {
                         });
                     }
                     if woke {
-                        is_awake[vi] = true;
-                        awake_count += 1;
-                        awake_list.push(v);
+                        awake.flags[vi] = true;
+                        awake.count += 1;
+                        decide.enlist(&mut awake.list, v);
                     }
                 };
                 if dense {
                     for v in 0..n as NodeId {
                         if self.hits[v as usize].stamp | 1 == hit_many {
-                            deliver_to(v, protocol, rng, hook, sink);
+                            deliver_to(v, protocol, hook, sink);
                         }
                     }
                 } else {
@@ -959,7 +1302,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                         self.touched.sort_unstable();
                     }
                     for i in 0..self.touched.len() {
-                        deliver_to(self.touched[i], protocol, rng, hook, sink);
+                        deliver_to(self.touched[i], protocol, hook, sink);
                     }
                 }
             }
@@ -977,7 +1320,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                 sink.emit(TraceEvent::RoundEnd {
                     transmitters: transmitters.len() as u64,
                     deliveries,
-                    awake: awake_count as u64,
+                    awake: awake.count as u64,
                 });
             }
 
@@ -994,9 +1337,9 @@ impl<'g, T: Topology> Engine<'g, T> {
         }
 
         // Return the pooled scratch for the next run.
-        self.is_awake = is_awake;
-        self.awake_list = awake_list;
+        self.awake = awake;
         self.transmitters = transmitters;
+        decide.end(&mut self.streams);
 
         metrics.set_rounds(rounds);
         let hit_round_cap = !completed && rounds >= self.cfg.max_rounds;
@@ -1023,7 +1366,7 @@ impl<'g, T: Topology> Engine<'g, T> {
         )
     }
 
-    /// The transmit-phase scatter shared by the v1 and fused cores:
+    /// The transmit-phase scatter:
     /// clears and refills `touched` (and this round's stamped `hits`
     /// records) from `transmitters`, fanning out when the round's edge
     /// volume pays for the scoped-thread spawns — partitioned by
@@ -1047,9 +1390,9 @@ impl<'g, T: Topology> Engine<'g, T> {
         transmitters: &[NodeId],
         hit_once: u32,
         hit_many: u32,
-        threads: usize,
     ) -> bool {
         let n = self.hits.len();
+        let threads = self.cfg.threads.max(1);
         self.touched.clear();
         let plan = if threads > 1 && transmitters.len() > 1 {
             // Edge-volume heuristic on `degree_hint` — exact for CSR,
@@ -1249,7 +1592,7 @@ impl<'g, T: Topology> Engine<'g, T> {
         let mut lo = 0usize;
         std::thread::scope(|scope| {
             for (r, touched_w) in self.par_touched[..t].iter_mut().enumerate() {
-                let hi = (((r as u64 + 1) * nn + tt - 1) / tt) as usize;
+                let hi = ((r as u64 + 1) * nn).div_ceil(tt) as usize;
                 let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
                 rest = tail;
                 touched_w.clear();
@@ -1285,545 +1628,15 @@ impl<'g, T: Topology> Engine<'g, T> {
             self.touched.extend_from_slice(w);
         }
     }
-
-    /// Run `protocol` to completion (or the round cap) under the **v2
-    /// determinism contract** — counter-based per-node decide streams
-    /// derived from `run_seed` ([`DecideStreams`]) instead of one shared
-    /// serial RNG — with the decide, scatter, and delivery phases fused
-    /// into the engine's worker partitioning.
-    /// Uses [`EngineConfig::threads`] workers (1 by default); see
-    /// [`Engine::run_fused_par`] for the determinism contract.
-    pub fn run_fused<P: FusedDecide>(&mut self, protocol: &mut P, run_seed: u64) -> RunResult {
-        let threads = self.cfg.threads.max(1);
-        self.run_fused_par(protocol, run_seed, threads)
-    }
-
-    /// [`Engine::run_fused`] with an explicit worker count (overrides
-    /// [`EngineConfig::threads`] for this run only).
-    ///
-    /// # Determinism contract (v2)
-    ///
-    /// Every coin flip of the run comes from a stream that is a pure
-    /// function of `(run_seed, node, round)` — see [`DecideStreams`] for
-    /// the exact layout — so the decide phase can be evaluated by any
-    /// worker in any order: the engine chunks the awake list across
-    /// `threads` workers, each evaluating [`FusedDecide::decide_pure`]
-    /// against shared protocol state with the node's own positioned
-    /// stream, then replays the non-silent decisions serially in poll
-    /// order ([`FusedDecide::commit_decide`]). The scatter keeps PR 4's
-    /// receiver-range partition, and the delivery sweep stays serial in
-    /// ascending receiver order. Results are therefore **bit-identical
-    /// for every thread count, by construction** — same guarantee as
-    /// [`Engine::run_par`], now covering the decide phase that v1 had to
-    /// keep serial.
-    ///
-    /// Note that a fused run and a v1 run of the same `(protocol, seed)`
-    /// produce *different* (statistically equivalent) trajectories: the
-    /// stream layouts differ. `tests/v2_equivalence.rs` cross-validates
-    /// the two contracts against the frozen v1 reference engine.
-    pub fn run_fused_par<P: FusedDecide>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        threads: usize,
-    ) -> RunResult {
-        assert!(threads >= 1, "threads must be at least 1");
-        let g = self.graph;
-        self.run_fused_core(
-            |_| g,
-            protocol,
-            DecideStreams::new(run_seed),
-            &mut NoEnergy,
-            &mut NullSink,
-            threads,
-        )
-        .0
-    }
-
-    /// [`Engine::run_fused`] with a structured [`TraceSink`] — see
-    /// [`Engine::run_traced`]. The fused engine's decide phase may fan
-    /// out over workers, but every emission happens on the serial side
-    /// (the commit sweep and the delivery sweep), so the event stream is
-    /// bit-identical for every thread count — which is exactly what
-    /// makes `record once, replay at any thread count` a meaningful
-    /// verification step.
-    pub fn run_fused_traced<P: FusedDecide, S: TraceSink>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        sink: &mut S,
-    ) -> RunResult {
-        let threads = self.cfg.threads.max(1);
-        let g = self.graph;
-        self.run_fused_core(
-            |_| g,
-            protocol,
-            DecideStreams::new(run_seed),
-            &mut NoEnergy,
-            sink,
-            threads,
-        )
-        .0
-    }
-
-    /// [`Engine::run_fused_energy`] with a structured [`TraceSink`] —
-    /// see [`Engine::run_fused_traced`].
-    pub fn run_fused_energy_traced<P: FusedDecide, S: TraceSink>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        session: &mut EnergySession,
-        sink: &mut S,
-    ) -> EnergyRunResult {
-        let threads = self.cfg.threads.max(1);
-        assert_eq!(
-            session.n(),
-            self.graph.n(),
-            "energy session node count must match the graph"
-        );
-        session.begin();
-        let g = self.graph;
-        let (run, stopped_on_depletion) = self.run_fused_core(
-            |_| g,
-            protocol,
-            DecideStreams::new(run_seed),
-            session,
-            sink,
-            threads,
-        );
-        let energy = session.finalize(run.metrics.per_node());
-        EnergyRunResult {
-            run,
-            energy,
-            stopped_on_depletion,
-        }
-    }
-
-    /// [`Engine::run_fused`] with an energy overlay. Duty charges happen
-    /// on the serial side of the round (commit + delivery), and the
-    /// session's own model stream is independent of the per-node decide
-    /// streams, so overlay runs keep the same bit-identity guarantee —
-    /// and, with no battery attached, are bit-identical to the same
-    /// fused run without the overlay.
-    pub fn run_fused_energy<P: FusedDecide>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        session: &mut EnergySession,
-    ) -> EnergyRunResult {
-        let threads = self.cfg.threads.max(1);
-        self.run_fused_par_energy(protocol, run_seed, session, threads)
-    }
-
-    /// [`Engine::run_fused_energy`] with an explicit worker count.
-    pub fn run_fused_par_energy<P: FusedDecide>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        session: &mut EnergySession,
-        threads: usize,
-    ) -> EnergyRunResult {
-        assert!(threads >= 1, "threads must be at least 1");
-        assert_eq!(
-            session.n(),
-            self.graph.n(),
-            "energy session node count must match the graph"
-        );
-        session.begin();
-        let g = self.graph;
-        let (run, stopped_on_depletion) = self.run_fused_core(
-            |_| g,
-            protocol,
-            DecideStreams::new(run_seed),
-            session,
-            &mut NullSink,
-            threads,
-        );
-        let energy = session.finalize(run.metrics.per_node());
-        EnergyRunResult {
-            run,
-            energy,
-            stopped_on_depletion,
-        }
-    }
-
-    /// The fused v2 round loop (see [`Engine::run_fused_par`] for the
-    /// contract). Differences from `run_core`:
-    ///
-    /// * **decide** — evaluated by `threads` workers over contiguous
-    ///   awake-list chunks via [`FusedDecide::decide_pure`] and the
-    ///   node's own positioned stream; workers emit only non-silent
-    ///   `(node, event)` pairs, which concatenate (worker order = list
-    ///   order) into the serial commit sweep. The serial half of the
-    ///   phase is `O(transmitters + sleepers)`, not `O(awake)`.
-    /// * **awake list** — sleepers are *not* compacted inline (the
-    ///   commit sweep never walks the full list); they stay as stale
-    ///   entries skipped by the workers, and one eager `retain` pass
-    ///   compacts the list when more than half of it has gone stale
-    ///   (mass passivation — Algorithm 1's Phase 2, retirement windows).
-    /// * **delivery** — serial, ascending receiver order, with
-    ///   `on_receive` drawing from the receiver's v2 receive lane.
-    fn run_fused_core<F, P, E, S>(
-        &mut self,
-        pick: F,
-        protocol: &mut P,
-        streams: DecideStreams,
-        hook: &mut E,
-        sink: &mut S,
-        threads: usize,
-    ) -> (RunResult, bool)
-    where
-        F: Fn(u64) -> &'g T,
-        P: FusedDecide,
-        E: EnergyHook + Sync,
-        S: TraceSink,
-    {
-        let n = self.graph.n();
-        assert!(
-            self.cfg.max_rounds < u64::from(u32::MAX >> 1),
-            "max_rounds must fit the 31-bit round stamps (< {})",
-            u32::MAX >> 1
-        );
-        let mut metrics = Metrics::new(n);
-        self.hits.fill(HIT_NEVER);
-        self.sent.fill(0);
-        let mut trace = self.cfg.record_trace.then(Trace::default);
-
-        // Pooled awake bookkeeping (restored at the end of the run).
-        // Unlike the v1 core, `awake_list` here may carry *stale*
-        // entries — `in_list[v] && !is_awake[v]` — between the sparse
-        // commit that put a node to sleep and the compaction (or
-        // re-wake) that resolves it; `stale` counts them so the
-        // compaction threshold and the `len == awake + stale` invariant
-        // are O(1) to track.
-        // Clear + resize rather than `fill`, for the same
-        // panic-resilience reason as `run_core`: a panicked run leaves
-        // the pools taken, and the next run must re-size them.
-        let mut is_awake = std::mem::take(&mut self.is_awake);
-        let mut in_list = std::mem::take(&mut self.in_list);
-        let mut awake_list = std::mem::take(&mut self.awake_list);
-        let mut transmitters = std::mem::take(&mut self.transmitters);
-        let mut events = std::mem::take(&mut self.events);
-        let mut node_keys = std::mem::take(&mut self.node_keys);
-        is_awake.clear();
-        is_awake.resize(n, false);
-        in_list.clear();
-        in_list.resize(n, false);
-        awake_list.clear();
-        transmitters.clear();
-        events.clear();
-        // The key cache needs sizing, not clearing: every entry is
-        // (re)derived for this run's seed at the node's wake — before
-        // any decide reads it — so stale words from a previous run are
-        // never observable.
-        if node_keys.len() != n {
-            node_keys.clear();
-            node_keys.resize(n, [0u32; 8]);
-        }
-        let mut awake_count = 0usize;
-        let mut stale = 0usize;
-        for v in protocol.initially_awake() {
-            if !is_awake[v as usize] {
-                is_awake[v as usize] = true;
-                in_list[v as usize] = true;
-                awake_count += 1;
-                node_keys[v as usize] = streams.node_key(v);
-                awake_list.push(v);
-            }
-        }
-
-        let mut rounds = 0u64;
-        let mut completed = protocol.is_complete();
-        let mut halted = false;
-
-        while !completed
-            && !halted
-            && rounds < self.cfg.max_rounds
-            && (awake_count > 0 || (E::ACTIVE && hook.charge_to_cap()))
-        {
-            rounds += 1;
-            let round = rounds;
-            let rstamp = round as u32; // fits: max_rounds < 2³¹
-            let hit_once = rstamp << 1;
-            let hit_many = hit_once | 1;
-            let graph = pick(round);
-            debug_assert_eq!(graph.n(), n, "topology changed node count mid-run");
-            if S::ACTIVE {
-                sink.emit(TraceEvent::RoundStart { round });
-            }
-
-            // --- decide phase -----------------------------------------------
-            protocol.begin_round(round);
-            events.clear();
-            let len = awake_list.len();
-            let t_decide = if threads > 1 && len >= self.cfg.par_min_awake.max(2) {
-                threads.min(len)
-            } else {
-                1
-            };
-            if t_decide > 1 {
-                // Index-chunk partition: worker `w` evaluates the
-                // decisions of one contiguous slice of the awake list.
-                // Chunk boundaries cannot influence anything — each
-                // decision depends only on (run_seed, node, round) and
-                // the round-start protocol state — and concatenating the
-                // per-worker event lists in worker order reproduces list
-                // order exactly.
-                let t = t_decide;
-                if self.par_events.len() < t {
-                    self.par_events.resize_with(t, Vec::new);
-                }
-                let par_events = &mut self.par_events[..t];
-                let awake: &[bool] = &is_awake;
-                let keys: &[[u32; 8]] = &node_keys;
-                let hook_now: &E = hook;
-                let proto: &P = protocol;
-                let mut rest: &[NodeId] = &awake_list;
-                let mut lo = 0usize;
-                std::thread::scope(|scope| {
-                    for (w, ev_w) in par_events.iter_mut().enumerate() {
-                        let hi = (w + 1) * len / t;
-                        let (chunk, tail) = rest.split_at(hi - lo);
-                        rest = tail;
-                        ev_w.clear();
-                        // Worst case: every node in the chunk decides
-                        // non-silently (no-op once warmed up).
-                        ev_w.reserve(chunk.len());
-                        let work = move |ev_w: &mut Vec<(NodeId, DecideEvent)>| {
-                            decide_span(chunk, awake, keys, round, proto, hook_now, ev_w);
-                        };
-                        if w + 1 == t {
-                            work(ev_w);
-                        } else {
-                            scope.spawn(move || work(ev_w));
-                        }
-                        lo = hi;
-                    }
-                });
-                for w in &self.par_events[..t] {
-                    events.extend_from_slice(w);
-                }
-            } else {
-                decide_span(
-                    &awake_list,
-                    &is_awake,
-                    &node_keys,
-                    round,
-                    protocol,
-                    hook,
-                    &mut events,
-                );
-            }
-
-            // --- serial commit (poll order) ---------------------------------
-            transmitters.clear();
-            for &(v, ev) in &events {
-                let vi = v as usize;
-                match ev {
-                    DecideEvent::Transmit => {
-                        protocol.commit_decide(v, round, Action::Transmit);
-                        transmitters.push(v);
-                        self.sent[vi] = rstamp;
-                        metrics.record_transmission(v);
-                        if E::ACTIVE {
-                            hook.charge(v, Duty::Transmit, round);
-                        }
-                        if S::ACTIVE {
-                            sink.emit(TraceEvent::Transmit { node: v });
-                        }
-                    }
-                    DecideEvent::Sleep => {
-                        protocol.commit_decide(v, round, Action::Sleep);
-                        is_awake[vi] = false;
-                        awake_count -= 1;
-                        stale += 1;
-                        if S::ACTIVE {
-                            sink.emit(TraceEvent::Sleep { node: v });
-                        }
-                    }
-                    DecideEvent::Dead => {
-                        // Battery ran out in an earlier round: fail-stop,
-                        // no protocol commit (a dead node can't be woken).
-                        is_awake[vi] = false;
-                        awake_count -= 1;
-                        stale += 1;
-                        if S::ACTIVE {
-                            sink.emit(TraceEvent::Depleted { node: v });
-                        }
-                    }
-                }
-            }
-
-            // Eager stale compaction: the sparse commit above never
-            // walks the full list, so sleepers would otherwise be
-            // carried (and skipped by the decide workers) until a
-            // re-wake. Once more than half the list disagrees with
-            // `is_awake` — mass passivation, e.g. Algorithm 1's
-            // all-passive Phase 2 or a retirement window expiring — one
-            // O(len) retain pass beats every future round's stale skips.
-            if stale * 2 > awake_list.len() {
-                awake_list.retain(|&v| {
-                    let keep = is_awake[v as usize];
-                    if !keep {
-                        in_list[v as usize] = false;
-                    }
-                    keep
-                });
-                stale = 0;
-                debug_assert_eq!(
-                    is_awake.iter().filter(|&&b| b).count(),
-                    awake_count,
-                    "is_awake flags diverged from awake_count"
-                );
-            }
-            debug_assert_eq!(
-                awake_list.len(),
-                awake_count + stale,
-                "awake-count invariant: list = awake + stale"
-            );
-
-            // --- transmit phase ---------------------------------------------
-            let touched_sorted =
-                self.scatter_round(graph, &transmitters, hit_once, hit_many, threads);
-
-            // --- delivery phase ---------------------------------------------
-            // Serial, ascending receiver order (the contract shared with
-            // v1/reference/baseline); `on_receive` draws from the
-            // receiver's v2 receive lane — constructing the positioned
-            // stream is lazy state setup, costing nothing unless the
-            // protocol actually draws.
-            let mut deliveries = 0u64;
-            let mut first_receptions = 0u64;
-            if !transmitters.is_empty() {
-                let dense = self.touched.len() >= n / 8;
-                let mut deliver_to = |v: NodeId, protocol: &mut P, hook: &mut E, sink: &mut S| {
-                    // Same semantics as the v1 core, via the shared
-                    // `deliver_one`; only the rng source (the
-                    // receiver's v2 receive lane) and the stale-aware
-                    // wake bookkeeping differ.
-                    let vi = v as usize;
-                    if S::ACTIVE && self.hits[vi].stamp == hit_many {
-                        sink.emit(TraceEvent::Collision { node: v });
-                    }
-                    let delivered = deliver_one(
-                        &self.hits,
-                        &self.sent,
-                        self.cfg.half_duplex,
-                        hit_once,
-                        rstamp,
-                        v,
-                        round,
-                        protocol,
-                        hook,
-                        &mut streams.receive_rng(v, round),
-                        &mut deliveries,
-                        &mut first_receptions,
-                    );
-                    let woke = delivered && !is_awake[vi];
-                    if S::ACTIVE && delivered {
-                        sink.emit(TraceEvent::Deliver {
-                            node: v,
-                            from: self.hits[vi].source,
-                            woke,
-                        });
-                    }
-                    if woke {
-                        is_awake[vi] = true;
-                        awake_count += 1;
-                        if in_list[vi] {
-                            // Re-woken stale entry: already listed (and
-                            // its key is already cached for this run).
-                            stale -= 1;
-                        } else {
-                            in_list[vi] = true;
-                            node_keys[vi] = streams.node_key(v);
-                            awake_list.push(v);
-                        }
-                    }
-                };
-                if dense {
-                    for v in 0..n as NodeId {
-                        if self.hits[v as usize].stamp | 1 == hit_many {
-                            deliver_to(v, protocol, hook, sink);
-                        }
-                    }
-                } else {
-                    if !touched_sorted {
-                        self.touched.sort_unstable();
-                    }
-                    for i in 0..self.touched.len() {
-                        deliver_to(self.touched[i], protocol, hook, sink);
-                    }
-                }
-            }
-
-            if E::ACTIVE && hook.end_round(round, protocol) {
-                halted = true;
-            }
-
-            completed = protocol.is_complete();
-
-            if S::ACTIVE {
-                sink.emit(TraceEvent::RoundEnd {
-                    transmitters: transmitters.len() as u64,
-                    deliveries,
-                    awake: awake_count as u64,
-                });
-            }
-
-            if let Some(t) = trace.as_mut() {
-                t.rounds.push(RoundRecord {
-                    round,
-                    transmitters: transmitters.len() as u64,
-                    deliveries,
-                    newly_informed: first_receptions,
-                    active: protocol.active_count() as u64,
-                    informed: protocol.informed_count() as u64,
-                });
-            }
-        }
-
-        // Return the pooled scratch for the next run.
-        self.is_awake = is_awake;
-        self.in_list = in_list;
-        self.awake_list = awake_list;
-        self.transmitters = transmitters;
-        self.events = events;
-        self.node_keys = node_keys;
-
-        metrics.set_rounds(rounds);
-        let hit_round_cap = !completed && rounds >= self.cfg.max_rounds;
-        if hit_round_cap && self.cfg.warn_on_round_cap {
-            eprintln!(
-                "radio-sim: fused run stopped at the max_rounds cap ({}) without completing \
-                 ({} of {} nodes informed) — the protocol may never terminate; \
-                 pick an explicit budget with EngineConfig::with_max_rounds or \
-                 silence this with warn_on_cap(false)",
-                self.cfg.max_rounds,
-                protocol.informed_count(),
-                n
-            );
-        }
-        (
-            RunResult {
-                rounds,
-                completed,
-                hit_round_cap,
-                metrics,
-                trace,
-            },
-            halted,
-        )
-    }
 }
 
-/// The delivery step shared by the v1 and fused cores: deliver to `v`
+/// The delivery step of the round loop: deliver to `v`
 /// iff it heard **exactly one** transmitter this round (`hits[v]`
 /// carries a clean `hit_once` stamp), its own radio was not busy
 /// transmitting under half-duplex, and its battery has not run out.
 /// Updates the delivery/first-reception counters and returns whether a
-/// delivery happened — the caller owns the wake bookkeeping, which is
-/// the one part that differs between the two awake-list disciplines.
+/// delivery happened — the caller owns the wake bookkeeping, whose
+/// poll-list half belongs to the decide source.
 #[allow(clippy::too_many_arguments)]
 fn deliver_one<P: Protocol, E: EnergyHook>(
     hits: &[HitRecord],
@@ -1864,105 +1677,26 @@ fn deliver_one<P: Protocol, E: EnergyHook>(
     true
 }
 
-/// One-shot convenience: build an engine, run once.
-pub fn run_protocol<T: Topology, P: Protocol>(
+/// One-shot convenience: build an engine for `graph`, run once — see
+/// [`Engine::run`] and [`Run`].
+pub fn run_protocol<T, P, D, E, S>(
     graph: &T,
     protocol: &mut P,
     cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-) -> RunResult {
-    Engine::new(graph, cfg).run(protocol, rng)
+    run: Run<'_, T, D, E, S>,
+) -> E::Output
+where
+    T: Topology,
+    P: Protocol,
+    D: Decide<P>,
+    E: EnergyHook,
+    S: TraceSink,
+{
+    Engine::new(graph, cfg).run(protocol, run)
 }
 
-/// One-shot convenience for a parallel run: build an engine, run once
-/// with `threads` scatter workers — see [`Engine::run_par`] for the
-/// bit-identity contract.
-pub fn run_protocol_par<T: Topology, P: Protocol>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    threads: usize,
-) -> RunResult {
-    Engine::new(graph, cfg).run_par(protocol, rng, threads)
-}
-
-/// One-shot convenience for a parallel run under an energy overlay —
-/// see [`Engine::run_par_energy`].
-pub fn run_protocol_par_energy<T: Topology, P: Protocol>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    session: &mut EnergySession,
-    threads: usize,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_par_energy(protocol, rng, session, threads)
-}
-
-/// One-shot convenience for a **fused v2** run: build an engine, run
-/// once under the counter-based per-node stream contract with
-/// [`EngineConfig::threads`] workers — see [`Engine::run_fused_par`].
-pub fn run_protocol_fused<T: Topology, P: FusedDecide>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    run_seed: u64,
-) -> RunResult {
-    Engine::new(graph, cfg).run_fused(protocol, run_seed)
-}
-
-/// One-shot convenience for a fused v2 run under an energy overlay —
-/// see [`Engine::run_fused_energy`].
-pub fn run_protocol_fused_energy<T: Topology, P: FusedDecide>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    run_seed: u64,
-    session: &mut EnergySession,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_fused_energy(protocol, run_seed, session)
-}
-
-/// One-shot convenience with an energy overlay: build an engine, run
-/// once against `session` — see [`Engine::run_energy`].
-pub fn run_protocol_energy<T: Topology, P: Protocol>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    session: &mut EnergySession,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_energy(protocol, rng, session)
-}
-
-/// One-shot convenience for a traced v1 run — see
-/// [`Engine::run_traced`] for the sink contract.
-pub fn run_protocol_traced<T: Topology, P: Protocol, S: TraceSink>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    sink: &mut S,
-) -> RunResult {
-    Engine::new(graph, cfg).run_traced(protocol, rng, sink)
-}
-
-/// One-shot convenience for a traced v1 run under an energy overlay —
-/// see [`Engine::run_energy_traced`].
-pub fn run_protocol_energy_traced<T: Topology, P: Protocol, S: TraceSink>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    session: &mut EnergySession,
-    sink: &mut S,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_energy_traced(protocol, rng, session, sink)
-}
-
-/// One-shot convenience for a traced fused v2 run — see
-/// [`Engine::run_fused_traced`].
+/// A traced one-shot [`Run::v2`] run with the seed and sink passed
+/// positionally, the form the `benchmark/` harness calls.
 pub fn run_protocol_fused_traced<T: Topology, P: FusedDecide, S: TraceSink>(
     graph: &T,
     protocol: &mut P,
@@ -1970,74 +1704,7 @@ pub fn run_protocol_fused_traced<T: Topology, P: FusedDecide, S: TraceSink>(
     run_seed: u64,
     sink: &mut S,
 ) -> RunResult {
-    Engine::new(graph, cfg).run_fused_traced(protocol, run_seed, sink)
-}
-
-/// One-shot convenience for a traced fused v2 run under an energy
-/// overlay — see [`Engine::run_fused_energy_traced`].
-pub fn run_protocol_fused_energy_traced<T: Topology, P: FusedDecide, S: TraceSink>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    run_seed: u64,
-    session: &mut EnergySession,
-    sink: &mut S,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_fused_energy_traced(protocol, run_seed, session, sink)
-}
-
-/// Run on a *changing topology*: the network uses `graphs[k]` during
-/// rounds `k·switch_every + 1 ..= (k+1)·switch_every` and stays on the
-/// last graph afterwards. Models node mobility (the paper's §1: "due to
-/// the mobility of the nodes, the network topology changes over time") —
-/// pair it with
-/// `radio_graph::generate::geometric`-style snapshot sequences.
-///
-/// # Panics
-/// Panics if `graphs` is empty, `switch_every == 0`, or node counts
-/// differ across snapshots.
-pub fn run_dynamic<T: Topology, P: Protocol>(
-    graphs: &[&T],
-    switch_every: u64,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-) -> RunResult {
-    let pick = dynamic_schedule(graphs, switch_every);
-    Engine::new(graphs[0], cfg).run_with(pick, protocol, rng)
-}
-
-/// [`run_dynamic`] with an energy overlay — mobility plus batteries/duty
-/// costs in one run. Same panics as [`run_dynamic`].
-pub fn run_dynamic_energy<T: Topology, P: Protocol>(
-    graphs: &[&T],
-    switch_every: u64,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    session: &mut EnergySession,
-) -> EnergyRunResult {
-    let pick = dynamic_schedule(graphs, switch_every);
-    Engine::new(graphs[0], cfg).run_with_energy(pick, protocol, rng, session)
-}
-
-/// Validate a snapshot sequence and build the round → topology map
-/// shared by [`run_dynamic`] and [`run_dynamic_energy`].
-fn dynamic_schedule<'a, T: Topology>(
-    graphs: &'a [&'a T],
-    switch_every: u64,
-) -> impl Fn(u64) -> &'a T {
-    assert!(!graphs.is_empty(), "need at least one topology snapshot");
-    assert!(switch_every > 0, "switch_every must be positive");
-    let n = graphs[0].n();
-    assert!(
-        graphs.iter().all(|g| g.n() == n),
-        "all topology snapshots must have the same node count"
-    );
-    move |round| {
-        let idx = ((round - 1) / switch_every) as usize;
-        graphs[idx.min(graphs.len() - 1)]
-    }
+    run_protocol(graph, protocol, cfg, Run::v2(run_seed).sink(sink))
 }
 
 #[cfg(test)]
@@ -2172,7 +1839,7 @@ mod tests {
         let g = path(10);
         let mut p = Flood::new(10, 0);
         let mut rng = derive_rng(1, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default(), &mut rng);
+        let res = run_protocol(&g, &mut p, EngineConfig::default(), Run::v1(&mut rng));
         assert!(res.completed);
         // One hop per round along the path; node 1's transmissions toward 0
         // never collide because in-degrees on the path are ≤ 2 and only the
@@ -2189,7 +1856,7 @@ mod tests {
         let g = star(5);
         let mut p = Flood::new(5, 0);
         let mut rng = derive_rng(2, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default(), &mut rng);
+        let res = run_protocol(&g, &mut p, EngineConfig::default(), Run::v1(&mut rng));
         assert!(res.completed);
         assert_eq!(res.rounds, 1);
     }
@@ -2203,7 +1870,12 @@ mod tests {
         p.informed[1] = true;
         p.n_informed = 2;
         let mut rng = derive_rng(3, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(50), &mut rng);
+        let res = run_protocol(
+            &g,
+            &mut p,
+            EngineConfig::with_max_rounds(50),
+            Run::v1(&mut rng),
+        );
         assert!(!res.completed, "collision must prevent delivery forever");
         assert_eq!(res.rounds, 50);
         assert_eq!(p.n_informed, 2);
@@ -2217,7 +1889,12 @@ mod tests {
         let g = DiGraph::from_edges(3, &[(0, 2), (1, 2)]);
         let mut p = Flood::new(3, 0);
         let mut rng = derive_rng(4, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(5), &mut rng);
+        let res = run_protocol(
+            &g,
+            &mut p,
+            EngineConfig::with_max_rounds(5),
+            Run::v1(&mut rng),
+        );
         assert!(!res.completed);
         assert!(p.informed[2], "single transmitter must deliver");
         assert_eq!(p.n_informed, 2);
@@ -2272,7 +1949,7 @@ mod tests {
             warn_on_round_cap: false,
             ..Default::default()
         };
-        let res = run_protocol(&g, &mut p, cfg, &mut rng);
+        let res = run_protocol(&g, &mut p, cfg, Run::v1(&mut rng));
         assert_eq!(res.metrics.total_transmissions(), 20);
     }
 
@@ -2321,7 +1998,7 @@ mod tests {
             warn_on_round_cap: false,
             ..Default::default()
         };
-        let _ = run_protocol(&g, &mut p, cfg, &mut rng);
+        let _ = run_protocol(&g, &mut p, cfg, Run::v1(&mut rng));
         assert_eq!(
             p.rx, 20,
             "each node receives the other's message each round"
@@ -2333,7 +2010,7 @@ mod tests {
         let g = path(6);
         let mut p = FloodOnce::new(6, 0);
         let mut rng = derive_rng(7, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default(), &mut rng);
+        let res = run_protocol(&g, &mut p, EngineConfig::default(), Run::v1(&mut rng));
         assert!(res.completed);
         assert_eq!(res.metrics.max_transmissions_per_node(), 1);
         assert_eq!(res.metrics.total_transmissions() as usize, 5); // node 5 never needs to send
@@ -2344,7 +2021,12 @@ mod tests {
         let g = path(5);
         let mut p = Flood::new(5, 0);
         let mut rng = derive_rng(8, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default().traced(), &mut rng);
+        let res = run_protocol(
+            &g,
+            &mut p,
+            EngineConfig::default().traced(),
+            Run::v1(&mut rng),
+        );
         let t = res.trace.expect("trace requested");
         assert_eq!(t.rounds.len(), res.rounds as usize);
         // Informed counts are non-decreasing and end at n.
@@ -2411,7 +2093,12 @@ mod tests {
                 n_informed: 1,
             };
             let mut rng = derive_rng(seed, b"det", 0);
-            let r = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(500), &mut rng);
+            let r = run_protocol(
+                &g,
+                &mut p,
+                EngineConfig::with_max_rounds(500),
+                Run::v1(&mut rng),
+            );
             (r.rounds, r.completed, r.metrics.total_transmissions())
         };
         assert_eq!(run(42), run(42));
@@ -2425,7 +2112,7 @@ mod tests {
         for seed in 0..5 {
             let mut p = Flood::new(8, 0);
             let mut rng = derive_rng(seed, b"reuse", 0);
-            let res = eng.run(&mut p, &mut rng);
+            let res = eng.run(&mut p, Run::v1(&mut rng));
             assert!(res.completed);
             assert_eq!(
                 res.rounds, 7,
@@ -2445,7 +2132,12 @@ mod tests {
         p.inner.informed[1] = true;
         p.inner.n_informed = 2;
         let mut rng = derive_rng(11, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(1000), &mut rng);
+        let res = run_protocol(
+            &g,
+            &mut p,
+            EngineConfig::with_max_rounds(1000),
+            Run::v1(&mut rng),
+        );
         assert!(!res.completed);
         assert_eq!(res.rounds, 2);
         assert_eq!(res.metrics.total_transmissions(), 2);
@@ -2460,12 +2152,11 @@ mod tests {
         let b = DiGraph::from_edges(3, &[(1, 2)]);
         let mut p = Flood::new(3, 0);
         let mut rng = derive_rng(12, b"eng", 0);
-        let res = super::run_dynamic(
-            &[&a, &b],
-            3,
+        let res = run_protocol(
+            &a,
             &mut p,
             EngineConfig::with_max_rounds(20),
-            &mut rng,
+            Run::v1(&mut rng).schedule(&[&a, &b], 3),
         );
         assert!(res.completed);
         assert!(res.rounds > 3, "node 2 is reachable only after the switch");
@@ -2478,12 +2169,13 @@ mod tests {
         let run_static = {
             let mut p = Flood::new(10, 0);
             let mut rng = derive_rng(13, b"eng", 0);
-            run_protocol(&g, &mut p, EngineConfig::default(), &mut rng).rounds
+            run_protocol(&g, &mut p, EngineConfig::default(), Run::v1(&mut rng)).rounds
         };
         let run_dyn = {
             let mut p = Flood::new(10, 0);
             let mut rng = derive_rng(13, b"eng", 0);
-            super::run_dynamic(&[&g], 5, &mut p, EngineConfig::default(), &mut rng).rounds
+            let cfg = EngineConfig::default();
+            run_protocol(&g, &mut p, cfg, Run::v1(&mut rng).schedule(&[&g], 5)).rounds
         };
         assert_eq!(run_static, run_dyn);
     }
@@ -2496,12 +2188,17 @@ mod tests {
         let plain = {
             let mut p = Flood::new(10, 0);
             let mut rng = derive_rng(20, b"eng", 0);
-            run_protocol(&g, &mut p, EngineConfig::default(), &mut rng)
+            run_protocol(&g, &mut p, EngineConfig::default(), Run::v1(&mut rng))
         };
         let mut p = Flood::new(10, 0);
         let mut rng = derive_rng(20, b"eng", 0);
         let mut session = radio_energy::EnergySession::new(10, radio_energy::TxOnly, 1);
-        let res = run_protocol_energy(&g, &mut p, EngineConfig::default(), &mut rng, &mut session);
+        let res = run_protocol(
+            &g,
+            &mut p,
+            EngineConfig::default(),
+            Run::v1(&mut rng).energy(&mut session),
+        );
         assert_eq!(res.run.rounds, plain.rounds);
         assert_eq!(res.run.metrics, plain.metrics);
         assert!(!res.stopped_on_depletion);
@@ -2527,7 +2224,12 @@ mod tests {
             radio_energy::LinearRadio::with_listen_ratio(1.0),
             2,
         );
-        let res = run_protocol_energy(&g, &mut p, EngineConfig::default(), &mut rng, &mut session);
+        let res = run_protocol(
+            &g,
+            &mut p,
+            EngineConfig::default(),
+            Run::v1(&mut rng).energy(&mut session),
+        );
         assert!(res.run.completed);
         let expected = 6.0 * res.run.rounds as f64;
         assert!(
@@ -2585,14 +2287,24 @@ mod tests {
                 let mut p = DutyCycled {
                     inner: FloodOnce::new(6, 0),
                 };
-                run_protocol_energy(&g, &mut p, EngineConfig::default(), &mut rng, &mut session)
-                    .energy
-                    .total_energy()
+                run_protocol(
+                    &g,
+                    &mut p,
+                    EngineConfig::default(),
+                    Run::v1(&mut rng).energy(&mut session),
+                )
+                .energy
+                .total_energy()
             } else {
                 let mut p = FloodOnce::new(6, 0);
-                run_protocol_energy(&g, &mut p, EngineConfig::default(), &mut rng, &mut session)
-                    .energy
-                    .total_energy()
+                run_protocol(
+                    &g,
+                    &mut p,
+                    EngineConfig::default(),
+                    Run::v1(&mut rng).energy(&mut session),
+                )
+                .energy
+                .total_energy()
             }
         };
         let always_on = run_total(false);
@@ -2616,12 +2328,11 @@ mod tests {
         let mut session =
             radio_energy::EnergySession::new(5, radio_energy::LinearRadio::uniform_drain(1.0), 4)
                 .with_battery(radio_energy::Battery::per_node(caps));
-        let res = run_protocol_energy(
+        let res = run_protocol(
             &g,
             &mut p,
             EngineConfig::with_max_rounds(50),
-            &mut rng,
-            &mut session,
+            Run::v1(&mut rng).energy(&mut session),
         );
         assert!(!res.run.completed);
         assert!(p.informed[1]);
@@ -2643,12 +2354,11 @@ mod tests {
             radio_energy::EnergySession::new(8, radio_energy::LinearRadio::uniform_drain(1.0), 5)
                 .with_battery(radio_energy::Battery::uniform(8, 3.0))
                 .with_halt_on_depletion(true);
-        let res = run_protocol_energy(
+        let res = run_protocol(
             &g,
             &mut p,
             EngineConfig::with_max_rounds(100),
-            &mut rng,
-            &mut session,
+            Run::v1(&mut rng).energy(&mut session),
         );
         assert!(res.stopped_on_depletion);
         assert_eq!(res.run.rounds, 3);
@@ -2676,12 +2386,11 @@ mod tests {
                 8,
             )
             .with_charge_to_cap(charge_to_cap);
-            let res = run_protocol_energy(
+            let res = run_protocol(
                 &g,
                 &mut p,
                 EngineConfig::with_max_rounds(cap),
-                &mut rng,
-                &mut session,
+                Run::v1(&mut rng).energy(&mut session),
             );
             (res.run.rounds, res.energy.total_energy())
         };
@@ -2703,12 +2412,11 @@ mod tests {
         let mut session =
             radio_energy::EnergySession::new(4, radio_energy::LinearRadio::uniform_drain(1.0), 6)
                 .with_battery(radio_energy::Battery::uniform(4, 2.0));
-        let res = run_protocol_energy(
+        let res = run_protocol(
             &g,
             &mut p,
             EngineConfig::with_max_rounds(1000),
-            &mut rng,
-            &mut session,
+            Run::v1(&mut rng).energy(&mut session),
         );
         assert!(!res.run.completed);
         assert!(res.run.rounds <= 4, "dead network must quiesce");
@@ -2728,7 +2436,7 @@ mod tests {
         for _ in 0..3 {
             let mut p = Flood::new(8, 0);
             let mut rng = derive_rng(26, b"eng", 0);
-            let res = eng.run_energy(&mut p, &mut rng, &mut session);
+            let res = eng.run(&mut p, Run::v1(&mut rng).energy(&mut session));
             assert!(res.run.completed);
             totals.push(res.energy.total_energy());
         }
@@ -2801,7 +2509,7 @@ mod tests {
                 par_min_edges: 0,
                 ..EngineConfig::with_max_rounds(200).traced()
             };
-            let res = run_protocol_par(&g, &mut p, cfg, &mut rng, threads);
+            let res = run_protocol(&g, &mut p, cfg.with_threads(threads), Run::v1(&mut rng));
             (
                 res.rounds,
                 res.completed,
@@ -2832,7 +2540,14 @@ mod tests {
         // Auto + full-row-replay range queries: transmitter shard, gated
         // on the lower implicit threshold.
         assert_eq!(
-            scatter_plan(&cfg, FullRowReplay, 8, 10_000, 100, PAR_SCATTER_MIN_EDGES_IMPLICIT),
+            scatter_plan(
+                &cfg,
+                FullRowReplay,
+                8,
+                10_000,
+                100,
+                PAR_SCATTER_MIN_EDGES_IMPLICIT
+            ),
             ScatterPlan::TransmitterShard { threads: 8 }
         );
         assert_eq!(
@@ -2849,19 +2564,23 @@ mod tests {
         // The calibration point of the satellite fix: an edge volume
         // between the two thresholds fans out on implicit backends
         // (every edge carries generation work) but not on CSR.
-        assert!(PAR_SCATTER_MIN_EDGES_IMPLICIT < PAR_SCATTER_MIN_EDGES);
+        const { assert!(PAR_SCATTER_MIN_EDGES_IMPLICIT < PAR_SCATTER_MIN_EDGES) };
         let mid = (PAR_SCATTER_MIN_EDGES_IMPLICIT + PAR_SCATTER_MIN_EDGES) / 2;
         assert_eq!(
             scatter_plan(&cfg, FullRowReplay, 8, 10_000, 100, mid),
             ScatterPlan::TransmitterShard { threads: 8 }
         );
-        assert_eq!(scatter_plan(&cfg, Narrowed, 8, 10_000, 100, mid), ScatterPlan::Serial);
+        assert_eq!(
+            scatter_plan(&cfg, Narrowed, 8, 10_000, 100, mid),
+            ScatterPlan::Serial
+        );
     }
 
     #[test]
     fn scatter_plan_honors_overrides_and_caps() {
         use RangeQueryCost::{FullRowReplay, Narrowed};
-        let shard = EngineConfig::default().with_scatter_strategy(ScatterStrategy::TransmitterShard);
+        let shard =
+            EngineConfig::default().with_scatter_strategy(ScatterStrategy::TransmitterShard);
         let range = EngineConfig::default().with_scatter_strategy(ScatterStrategy::ReceiverRange);
         // Overrides beat the backend hint (both directions).
         assert_eq!(
@@ -2984,7 +2703,7 @@ mod tests {
                 ..EngineConfig::with_max_rounds(200).traced()
             };
             let mut p = FusedCoin::new(400, 3, 0.35);
-            let res = run_protocol_fused(&g, &mut p, cfg.with_threads(threads), 0xF00D);
+            let res = run_protocol(&g, &mut p, cfg.with_threads(threads), Run::v2(0xF00D));
             (
                 res.rounds,
                 res.completed,
@@ -3007,7 +2726,12 @@ mod tests {
         let g = radio_graph::generate::gnp_directed(200, 0.1, &mut derive_rng(51, b"fuse-g", 1));
         let run_with_seed = |seed: u64| {
             let mut p = FusedCoin::new(200, 2, 0.4);
-            let res = run_protocol_fused(&g, &mut p, EngineConfig::with_max_rounds(300), seed);
+            let res = run_protocol(
+                &g,
+                &mut p,
+                EngineConfig::with_max_rounds(300),
+                Run::v2(seed),
+            );
             (res.rounds, res.metrics)
         };
         assert_eq!(run_with_seed(7), run_with_seed(7));
@@ -3029,7 +2753,7 @@ mod tests {
                 ..EngineConfig::with_max_rounds(1000)
             };
             let mut p = FusedCoin::new(12, 1, 1.0);
-            let res = run_protocol_fused(&g, &mut p, cfg.with_threads(threads), 3);
+            let res = run_protocol(&g, &mut p, cfg.with_threads(threads), Run::v2(3));
             assert!(res.completed, "{threads} threads");
             assert_eq!(res.metrics.max_transmissions_per_node(), 1);
             assert!(
@@ -3045,7 +2769,7 @@ mod tests {
         let mut eng = Engine::new(&g, EngineConfig::with_max_rounds(300));
         let fingerprint = |eng: &mut Engine| {
             let mut p = FusedCoin::new(150, 2, 0.4);
-            let res = eng.run_fused(&mut p, 0xAB);
+            let res = eng.run(&mut p, Run::v2(0xAB));
             (res.rounds, res.completed, res.metrics)
         };
         let first = fingerprint(&mut eng);
@@ -3054,7 +2778,7 @@ mod tests {
         }
         // And a v1 run in between must not poison the fused pools.
         let mut p = Flood::new(150, 0);
-        let _ = eng.run(&mut p, &mut derive_rng(1, b"mix", 0));
+        let _ = eng.run(&mut p, Run::v1(&mut derive_rng(1, b"mix", 0)));
         assert_eq!(first, fingerprint(&mut eng), "v1 run poisoned the pools");
     }
 
@@ -3099,17 +2823,17 @@ mod tests {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut p = PanicAt2;
             let mut rng = derive_rng(1, b"boom", 0);
-            eng.run(&mut p, &mut rng)
+            eng.run(&mut p, Run::v1(&mut rng))
         }));
         assert!(panicked.is_err(), "the scripted panic must fire");
 
-        // Both cores must recover on the same engine.
+        // Both contracts must recover on the same engine.
         let mut p = Flood::new(8, 0);
-        let res = eng.run(&mut p, &mut derive_rng(2, b"boom", 0));
+        let res = eng.run(&mut p, Run::v1(&mut derive_rng(2, b"boom", 0)));
         assert!(res.completed);
         assert_eq!(res.rounds, 7);
         let mut p2 = FusedCoin::new(8, 1, 1.0);
-        let res2 = eng.run_fused(&mut p2, 3);
+        let res2 = eng.run(&mut p2, Run::v2(3));
         assert!(res2.completed);
     }
 
@@ -3119,7 +2843,7 @@ mod tests {
         // No battery: overlay run is bit-identical to the plain fused run.
         let plain = {
             let mut p = FusedCoin::new(120, 2, 0.4);
-            let res = run_protocol_fused(&g, &mut p, EngineConfig::with_max_rounds(200), 11);
+            let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(200), Run::v2(11));
             (res.rounds, res.metrics.clone())
         };
         let mut p = FusedCoin::new(120, 2, 0.4);
@@ -3128,12 +2852,11 @@ mod tests {
             radio_energy::LinearRadio::with_listen_ratio(0.5),
             4,
         );
-        let res = run_protocol_fused_energy(
+        let res = run_protocol(
             &g,
             &mut p,
             EngineConfig::with_max_rounds(200),
-            11,
-            &mut session,
+            Run::v2(11).energy(&mut session),
         );
         assert_eq!((res.run.rounds, res.run.metrics.clone()), plain);
         // With a tiny battery every node dies and the run quiesces early.
@@ -3141,12 +2864,11 @@ mod tests {
         let mut dying =
             radio_energy::EnergySession::new(120, radio_energy::LinearRadio::uniform_drain(1.0), 5)
                 .with_battery(radio_energy::Battery::uniform(120, 2.0));
-        let res2 = run_protocol_fused_energy(
+        let res2 = run_protocol(
             &g,
             &mut p2,
             EngineConfig::with_max_rounds(200),
-            11,
-            &mut dying,
+            Run::v2(11).energy(&mut dying),
         );
         assert!(!res2.run.completed);
         assert_eq!(res2.energy.depleted_count(), 120);
@@ -3158,7 +2880,7 @@ mod tests {
         let g = path(1);
         let mut p = Flood::new(1, 0);
         let mut rng = derive_rng(10, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default(), &mut rng);
+        let res = run_protocol(&g, &mut p, EngineConfig::default(), Run::v1(&mut rng));
         assert!(res.completed);
         assert_eq!(res.rounds, 0);
         assert_eq!(res.metrics.total_transmissions(), 0);

@@ -170,7 +170,7 @@ impl<P: Protocol> Protocol for Faulty<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_protocol;
+    use crate::engine::{run_protocol, Run};
     use crate::EngineConfig;
     use radio_graph::generate::path;
     use radio_util::derive_rng;
@@ -267,7 +267,12 @@ mod tests {
         let plan = CrashPlan::none(5).crash(2, 2);
         let mut p = Faulty::new(Flood::new(5), plan);
         let mut rng = derive_rng(2, b"fault", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(50), &mut rng);
+        let res = run_protocol(
+            &g,
+            &mut p,
+            EngineConfig::with_max_rounds(50),
+            Run::v1(&mut rng),
+        );
         assert!(!res.completed);
         assert!(p.inner().informed[1]);
         assert!(!p.inner().informed[2], "dead node must not learn");
@@ -280,7 +285,12 @@ mod tests {
         let plan = CrashPlan::none(5).crash(1, 4); // node 1 relays in round 2
         let mut p = Faulty::new(Flood::new(5), plan);
         let mut rng = derive_rng(3, b"fault", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(50), &mut rng);
+        let res = run_protocol(
+            &g,
+            &mut p,
+            EngineConfig::with_max_rounds(50),
+            Run::v1(&mut rng),
+        );
         assert!(res.completed, "late crash must not stop the broadcast");
     }
 
@@ -291,8 +301,8 @@ mod tests {
         let mut plain = Flood::new(6);
         let mut rng1 = derive_rng(4, b"fault", 0);
         let mut rng2 = derive_rng(4, b"fault", 0);
-        let r1 = run_protocol(&g, &mut faulty, EngineConfig::default(), &mut rng1);
-        let r2 = run_protocol(&g, &mut plain, EngineConfig::default(), &mut rng2);
+        let r1 = run_protocol(&g, &mut faulty, EngineConfig::default(), Run::v1(&mut rng1));
+        let r2 = run_protocol(&g, &mut plain, EngineConfig::default(), Run::v1(&mut rng2));
         assert_eq!(r1.rounds, r2.rounds);
         assert_eq!(r1.metrics.per_node(), r2.metrics.per_node());
     }

@@ -34,37 +34,41 @@
 //! [`trials::parallel_trials`] remains as the low-level free-form
 //! fan-out underneath it.
 //!
-//! Parallelism also reaches *inside* a single run: the engine's
-//! scatter/collision phase — the dominant cost at scale — can fan out
-//! over [`EngineConfig::threads`] workers partitioned by receiver id
-//! range ([`Engine::run_par`], [`engine::run_protocol_par`]), with runs
-//! bit-identical for every thread count. Sweeps over huge cells trade
-//! trial-level for run-level parallelism via
-//! [`Sweep::with_threads_per_run`].
+//! Every run goes through one entry point, [`Engine::run`] (or the
+//! one-shot [`run_protocol`]), with a [`Run`] spec that names the decide
+//! source and the optional hooks:
 //!
-//! The **v2 determinism contract** ([`streams`]) goes further: protocols
-//! that split their decision into a pure half and a commit half
-//! ([`FusedDecide`]) run on the *fused* engine ([`Engine::run_fused`],
-//! [`engine::run_protocol_fused`]), where every coin flip comes from a
-//! counter-based per-node stream keyed by `(run_seed, node)` with the
-//! round as block counter — so the decide phase itself fans out across
-//! the workers, removing the serial-RNG Amdahl cap, still bit-identical
-//! for every thread count by construction. v1 and v2 runs of the same
-//! seed differ (statistically equivalently); `tests/v2_equivalence.rs`
-//! cross-validates the contracts against the frozen [`reference`]
-//! oracle.
+//! * [`Run::v1`] — the shared-stream contract above, for any
+//!   [`Protocol`];
+//! * [`Run::v2`] — the **v2 determinism contract** ([`streams`]):
+//!   protocols that split their decision into a pure half and a commit
+//!   half ([`FusedDecide`]) draw every coin flip from a counter-based
+//!   per-node stream keyed by `(run_seed, node)` with the round as block
+//!   counter, so the decide phase itself fans out across workers. v1 and
+//!   v2 runs of the same seed differ (statistically equivalently);
+//!   `tests/v2_equivalence.rs` cross-validates the contracts against the
+//!   frozen [`reference`] oracle;
+//! * [`Run::energy`], [`Run::sink`], [`Run::schedule`] — an energy
+//!   overlay, a structured trace sink, a mobility schedule of topology
+//!   snapshots.
+//!
+//! Both contracts share one round loop. Parallelism reaches *inside* a
+//! single run: the scatter/collision phase — the dominant cost at scale
+//! — and, under v2, the decide phase fan out over
+//! [`EngineConfig::threads`] workers, with runs bit-identical for every
+//! thread count. Sweeps over huge cells trade trial-level for run-level
+//! parallelism via [`Sweep::with_threads_per_run`].
 //!
 //! The paper's transmissions-only energy measure generalises through the
-//! [`energy`] overlay (`radio-energy`): the `*_energy` entry points
-//! ([`Engine::run_energy`], [`run_protocol_energy`],
-//! [`run_dynamic_energy`]) charge a pluggable [`EnergyModel`] per round
-//! (transmit / receive / idle-listen / sleep, with the sleep state driven
-//! by [`Protocol::radio_off`]), optionally drain finite [`Battery`]
-//! capacities whose depletion turns nodes fail-stop dead (composing with
-//! [`fault::CrashPlan`] semantics), and report [`EnergyMetrics`]
-//! alongside the usual [`Metrics`]. With the default `TxOnly` model the
-//! overlay is a passthrough: per-round charging is skipped and reported
-//! energy equals the transmission counts bit-for-bit.
+//! [`energy`] overlay (`radio-energy`): [`Run::energy`] charges a
+//! pluggable [`EnergyModel`] per round (transmit / receive / idle-listen
+//! / sleep, with the sleep state driven by [`Protocol::radio_off`]),
+//! optionally drains finite [`Battery`] capacities whose depletion turns
+//! nodes fail-stop dead (composing with [`fault::CrashPlan`] semantics),
+//! and reports [`EnergyMetrics`] alongside the usual [`Metrics`]. With
+//! the default `TxOnly` model the overlay is a passthrough: per-round
+//! charging is skipped and reported energy equals the transmission
+//! counts bit-for-bit.
 
 pub mod baseline;
 pub mod engine;
@@ -77,21 +81,19 @@ pub mod trials;
 
 /// The pluggable energy subsystem (`radio-energy`), re-exported: duty
 /// states, energy models, batteries, and the per-run accounting session
-/// the engine's `*_energy` entry points drive.
+/// the engine's [`Run::energy`] overlay drives.
 pub use radio_energy as energy;
 
 /// The structured trace subsystem (`radio-trace`), re-exported: the
-/// [`TraceSink`](radio_trace::TraceSink) hook the engine's `*_traced`
-/// entry points drive, the `.rtrc` recording sinks/reader, replay
-/// verification, and first-divergence diffing.
+/// [`TraceSink`](radio_trace::TraceSink) hook a [`Run::sink`] attaches,
+/// the `.rtrc` recording sinks/reader, replay verification, and
+/// first-divergence diffing.
 pub use radio_trace as trace;
 
 pub use baseline::{run_adjlist, AdjListGraph};
 pub use engine::{
-    run_dynamic, run_dynamic_energy, run_protocol_energy, run_protocol_energy_traced,
-    run_protocol_fused, run_protocol_fused_energy, run_protocol_fused_energy_traced,
-    run_protocol_fused_traced, run_protocol_par, run_protocol_par_energy, run_protocol_traced,
-    scatter_plan, EnergyRunResult, Engine, EngineConfig, RunResult, ScatterPlan, ScatterStrategy,
+    run_protocol, run_protocol_fused_traced, scatter_plan, EnergyRunResult, Engine, EngineConfig,
+    Run, RunResult, ScatterPlan, ScatterStrategy,
 };
 pub use fault::{CrashPlan, Faulty};
 pub use metrics::{EnergyMetrics, Metrics, RoundRecord, Trace};
@@ -188,7 +190,7 @@ pub trait Protocol {
     }
 }
 
-/// Opt-in for the **fused v2 engine** ([`Engine::run_fused`]): the
+/// Opt-in for the **v2 determinism contract** ([`Run::v2`]): the
 /// per-round decision split into a *pure* evaluation half — callable
 /// from any worker thread against shared `&self` — and a *serial*
 /// commit half that applies the state transition.

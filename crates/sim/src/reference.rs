@@ -124,7 +124,7 @@ pub fn run_reference<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_protocol;
+    use crate::engine::{run_protocol, Run};
     use radio_graph::generate::gnp_directed;
     use radio_util::derive_rng;
     use rand::RngExt;
@@ -199,7 +199,7 @@ mod tests {
 
             let mut p1 = RandomQuiet::new(120, 3);
             let mut rng1 = derive_rng(seed, b"refrun", 0);
-            let fast = run_protocol(&g, &mut p1, cfg, &mut rng1);
+            let fast = run_protocol(&g, &mut p1, cfg, Run::v1(&mut rng1));
 
             let mut p2 = RandomQuiet::new(120, 3);
             let mut rng2 = derive_rng(seed, b"refrun", 0);
@@ -284,7 +284,7 @@ mod tests {
             let cfg = EngineConfig::with_max_rounds(80);
             let mut p1 = TinyGossip::new(60, 60);
             let mut rng1 = derive_rng(seed, b"refrun", 2);
-            let fast = run_protocol(&g, &mut p1, cfg, &mut rng1);
+            let fast = run_protocol(&g, &mut p1, cfg, Run::v1(&mut rng1));
             let mut p2 = TinyGossip::new(60, 60);
             let mut rng2 = derive_rng(seed, b"refrun", 2);
             let slow = run_reference(&g, &mut p2, cfg, &mut rng2);
@@ -312,7 +312,7 @@ mod tests {
             };
             let mut p1 = RandomQuiet::new(80, 2);
             let mut rng1 = derive_rng(seed, b"refrun", 1);
-            let fast = run_protocol(&g, &mut p1, cfg, &mut rng1);
+            let fast = run_protocol(&g, &mut p1, cfg, Run::v1(&mut rng1));
             let mut p2 = RandomQuiet::new(80, 2);
             let mut rng2 = derive_rng(seed, b"refrun", 1);
             let slow = run_reference(&g, &mut p2, cfg, &mut rng2);

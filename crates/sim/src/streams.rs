@@ -17,8 +17,7 @@
 //!
 //! Any worker can therefore evaluate any node's decision for any round
 //! independently — position a stream at `(node, round)` and draw — which
-//! is what lets the fused engine
-//! ([`Engine::run_fused`](crate::Engine::run_fused)) fan the decide
+//! is what lets a v2 run ([`Run::v2`](crate::Run::v2)) fan the decide
 //! phase out across threads with **bit-identical results for every
 //! thread count, by construction**: the draws are a pure function of
 //! `(run_seed, node, round)`, not of evaluation order.

@@ -22,9 +22,9 @@
 //!
 //! The trial seed serves both determinism contracts: a v1 runner feeds
 //! it to `derive_rng(seed, label, 0)` for the shared serial stream, a
-//! v2 runner passes it straight to the fused engine
-//! ([`run_protocol_fused`](crate::engine::run_protocol_fused)) as the
-//! `run_seed` its per-node counter-based streams derive from. Either
+//! v2 runner passes it straight to the engine
+//! ([`Run::v2`](crate::engine::Run::v2)) as the `run_seed` its per-node
+//! counter-based streams derive from. Either
 //! way the report bytes depend only on the sweep description (and on
 //! which contract the runner picked — switching contracts changes the
 //! trajectories, so regenerate the committed JSON when porting an
@@ -434,34 +434,6 @@ impl Sweep {
         }
     }
 
-    /// [`Sweep::run_cell`] with rayon fan-out over the cell's trials —
-    /// the cell-granular execution hook the campaign runner drives: it
-    /// checkpoints between cells, so parallelism has to live *inside*
-    /// the cell. Seeds and aggregation are identical to `run_cell`
-    /// (trial seeds depend only on `(base_seed, cell, trial)`), so the
-    /// two produce bit-identical results.
-    ///
-    /// # Panics
-    /// Panics if `cell_index` is out of range.
-    pub fn run_cell_par<F>(&self, cell_index: usize, runner: &F) -> CellResults
-    where
-        F: Fn(&SweepCell, &DiGraph, u64) -> TrialResult + Sync,
-    {
-        assert!(cell_index < self.cells.len(), "cell index out of range");
-        if self.threads_per_run > 1 {
-            // Run-level parallelism owns the cores (see
-            // `with_threads_per_run`): keep the trial loop serial.
-            return self.run_cell(cell_index, runner);
-        }
-        CellResults {
-            cell: self.cells[cell_index].clone(),
-            trials: (0..self.trials)
-                .into_par_iter()
-                .map(|t| self.one_trial(cell_index * self.trials + t, runner))
-                .collect(),
-        }
-    }
-
     /// [`Sweep::run_cell`] without the machinery-side graph generation:
     /// the runner receives only `(cell, trial_seed)` and owns topology
     /// construction. This is the hook for backends the sweep cannot
@@ -671,8 +643,8 @@ impl SweepReport {
 /// sweep.run(|cell, graph, seed| {
 ///     let mut sink = plan.open(cell, seed, "v2");
 ///     let run = match sink.as_mut() {
-///         Some(sink) => run_protocol_fused_traced(graph, &mut proto, cfg, seed, sink),
-///         None => run_protocol_fused(graph, &mut proto, cfg, seed),
+///         Some(sink) => run_protocol(graph, &mut proto, cfg, Run::v2(seed).sink(sink)),
+///         None => run_protocol(graph, &mut proto, cfg, Run::v2(seed)),
 ///     };
 ///     if let Some(sink) = sink {
 ///         let _ = sink.finish(run.completed); // runner owns the footer
@@ -807,7 +779,7 @@ impl TracePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_protocol;
+    use crate::engine::{run_protocol, Run};
     use crate::{Action, EngineConfig, Protocol};
     use radio_graph::NodeId;
     use rand::RngExt;
@@ -870,7 +842,12 @@ mod tests {
     fn flood_runner(cell: &SweepCell, graph: &DiGraph, seed: u64) -> TrialResult {
         let mut p = P3Flood::new(cell.n);
         let mut rng = derive_rng(seed, b"sweep-proto", 0);
-        let run = run_protocol(graph, &mut p, EngineConfig::with_max_rounds(400), &mut rng);
+        let run = run_protocol(
+            graph,
+            &mut p,
+            EngineConfig::with_max_rounds(400),
+            Run::v1(&mut rng),
+        );
         let informed = p.n_informed;
         TrialResult::from_run(&run, informed == cell.n, informed)
             .extra("informed_frac", informed as f64 / cell.n as f64)
@@ -985,13 +962,11 @@ mod tests {
         let by_collect = sw.collect(flood_runner);
         for (idx, collected) in by_collect.iter().enumerate() {
             let serial = sw.run_cell(idx, &flood_runner);
-            let par = sw.run_cell_par(idx, &flood_runner);
             assert_eq!(serial.trials, collected.trials, "cell {idx}");
-            assert_eq!(par.trials, serial.trials, "cell {idx} par");
         }
-        // Feeding run_cell_par outputs to report() reproduces run().
+        // Feeding run_cell outputs to report() reproduces run().
         let cells: Vec<CellResults> = (0..sw.cells().len())
-            .map(|i| sw.run_cell_par(i, &flood_runner))
+            .map(|i| sw.run_cell(i, &flood_runner))
             .collect();
         assert_eq!(
             sw.report(&cells).to_json_string(),
@@ -1110,13 +1085,12 @@ mod tests {
             let cfg = EngineConfig::with_max_rounds(60);
             let run = match plan.open(cell, seed, "v1") {
                 Some(mut sink) => {
-                    let run = crate::engine::run_protocol_traced(
-                        graph, &mut proto, cfg, &mut rng, &mut sink,
-                    );
+                    let run =
+                        run_protocol(graph, &mut proto, cfg, Run::v1(&mut rng).sink(&mut sink));
                     sink.finish(run.completed).expect("footer");
                     run
                 }
-                None => run_protocol(graph, &mut proto, cfg, &mut rng),
+                None => run_protocol(graph, &mut proto, cfg, Run::v1(&mut rng)),
             };
             TrialResult::from_run(&run, run.completed, proto.n_informed)
         });
@@ -1130,7 +1104,7 @@ mod tests {
                 graph,
                 &mut proto,
                 EngineConfig::with_max_rounds(60),
-                &mut rng,
+                Run::v1(&mut rng),
             );
             TrialResult::from_run(&run, run.completed, proto.n_informed)
         });

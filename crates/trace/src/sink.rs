@@ -42,6 +42,17 @@ impl TraceSink for NullSink {
     fn emit(&mut self, _ev: TraceEvent) {}
 }
 
+/// A borrowed sink is a sink, so a run spec can hold `&mut sink` while
+/// the caller keeps the sink itself.
+impl<S: TraceSink + ?Sized> TraceSink for &mut S {
+    const ACTIVE: bool = S::ACTIVE;
+
+    #[inline(always)]
+    fn emit(&mut self, ev: TraceEvent) {
+        (**self).emit(ev);
+    }
+}
+
 /// Streams the `.rtrc` binary format into any [`io::Write`].
 ///
 /// Events buffer in a reused `Vec<TraceEvent>` until `RoundEnd`, then

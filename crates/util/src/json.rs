@@ -234,12 +234,14 @@ impl Json {
     ///
     /// Errors are **line-anchored** — `line 3, col 14: expected ':'` —
     /// so a hand-edited scenario file points its author at the offending
-    /// line, not a byte offset into the document.
+    /// line, not a byte offset into the document. Arrays and objects
+    /// nested more than 128 levels deep are an error, not a stack
+    /// overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         let result = (|| {
-            let value = parse_value(bytes, &mut pos)?;
+            let value = parse_value(bytes, &mut pos, 0)?;
             skip_ws(bytes, &mut pos);
             if pos != bytes.len() {
                 return Err(perr(pos, "trailing content"));
@@ -362,8 +364,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseErr> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded input nesting would overflow
+/// the stack; every document this workspace writes nests at most a
+/// handful of levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value whose enclosing arrays/objects nest `depth` deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseErr> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(perr(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(perr(*pos, "unexpected end of input")),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -379,7 +394,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseErr> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -407,7 +422,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseErr> {
                     return Err(perr(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -700,6 +715,28 @@ mod tests {
         );
         let err = Json::Null.get_or_err("k", "root").unwrap_err();
         assert_eq!(err, "`root`: expected an object with key `k`, got null");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(200_000);
+        let err = Json::parse(&arrays).unwrap_err();
+        assert!(
+            err.starts_with(&format!("line 1, col {}:", MAX_DEPTH + 1)),
+            "got: {err}"
+        );
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+        let objects = "{\"a\":".repeat(200_000);
+        let err = Json::parse(&objects).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(Json::parse(&past_cap).is_err());
     }
 
     #[test]

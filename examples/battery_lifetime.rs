@@ -46,12 +46,11 @@ fn main() {
         let mut protocol = EeGossip::new(cfg);
         let mut engine_rng = derive_rng(2026, b"engine", 0);
         let mut session = EnergySession::new(n, radio, 7);
-        let res = run_protocol_energy(
+        let res = run_protocol(
             &field,
             &mut protocol,
             EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-            &mut engine_rng,
-            &mut session,
+            Run::v1(&mut engine_rng).energy(&mut session),
         );
         (res.run.rounds, res.energy.mean_energy_per_node())
     };
@@ -72,12 +71,11 @@ fn main() {
             &mut derive_rng(2026, b"bat", 0),
         ))
         .with_halt_on_depletion(true);
-    let res = run_protocol_energy(
+    let res = run_protocol(
         &field,
         &mut protocol,
         EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-        &mut engine_rng,
-        &mut session,
+        Run::v1(&mut engine_rng).energy(&mut session),
     );
 
     let lifetime = res
@@ -116,12 +114,11 @@ fn main() {
                 &mut derive_rng(2026, b"bat", 0),
             ))
             .with_halt_on_depletion(true);
-        let res = run_protocol_energy(
+        let res = run_protocol(
             &field,
             &mut protocol,
             EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-            &mut engine_rng,
-            &mut session,
+            Run::v1(&mut engine_rng).energy(&mut session),
         );
         let life = res
             .energy
@@ -144,12 +141,11 @@ fn main() {
     let mut protocol = EeGossip::new(cfg);
     let mut engine_rng = derive_rng(2026, b"engine", 0);
     let mut session = EnergySession::new(n, TxOnly, 7);
-    let res = run_protocol_energy(
+    let res = run_protocol(
         &field,
         &mut protocol,
         EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-        &mut engine_rng,
-        &mut session,
+        Run::v1(&mut engine_rng).energy(&mut session),
     );
     assert_eq!(
         res.energy.total_energy(),

@@ -36,7 +36,7 @@ fn record(
     let header = RunHeader::new(seed, "v2", format!("gnp_directed/n={n}"));
     let mut sink = RecordingSink::create(path, &header).expect("create .rtrc");
     let mut proto = EeRandomBroadcast::new(n, 0, *cfg);
-    let run = Engine::new(g, ecfg).run_fused_traced(&mut proto, seed, &mut sink);
+    let run = Engine::new(g, ecfg).run(&mut proto, Run::v2(seed).sink(&mut sink));
     sink.finish(run.completed).expect("write footer");
     run
 }
@@ -68,7 +68,7 @@ fn main() {
     // it compares them to the file, event for event.
     let mut verifier = ReplayVerifier::new(&rec);
     let mut proto = EeRandomBroadcast::new(n, 0, acfg);
-    let replayed = Engine::new(&g, ecfg).run_fused_traced(&mut proto, seed, &mut verifier);
+    let replayed = Engine::new(&g, ecfg).run(&mut proto, Run::v2(seed).sink(&mut verifier));
     assert_eq!(run, replayed, "re-driven run must be bit-identical");
     match verifier.finish() {
         Ok(events) => println!("replay:   verified {events} events, zero divergences"),

@@ -115,11 +115,9 @@ pub mod prelude {
         ImplicitGnp, ImplicitGrid, NodeId, RangeQueryCost, Subgraph, Topology,
     };
     pub use radio_sim::{
-        run_dynamic, run_dynamic_energy, run_protocol_energy, run_protocol_energy_traced,
-        run_protocol_fused, run_protocol_fused_energy, run_protocol_fused_energy_traced,
-        run_protocol_fused_traced, run_protocol_traced, CrashPlan, DecideStreams, EnergyRunResult,
-        Engine, EngineConfig, Faulty, FusedDecide, Metrics, Protocol, RunResult, ScatterStrategy,
-        Sweep, SweepCell, SweepReport, TracePlan, TrialEnergy, TrialResult,
+        run_protocol, CrashPlan, DecideStreams, EnergyRunResult, Engine, EngineConfig, Faulty,
+        FusedDecide, Metrics, Protocol, Run, RunResult, ScatterStrategy, Sweep, SweepCell,
+        SweepReport, TracePlan, TrialEnergy, TrialResult,
     };
     pub use radio_stats::{mean, quantile, LinearFit, SummaryStats};
     pub use radio_trace::{

@@ -29,12 +29,12 @@ where
     let plain = {
         let mut p = make();
         let mut rng = derive_rng(11, b"engine", 0);
-        adhoc_radio::sim::engine::run_protocol(g, &mut p, cfg, &mut rng)
+        run_protocol(g, &mut p, cfg, Run::v1(&mut rng))
     };
     let mut p = make();
     let mut rng = derive_rng(11, b"engine", 0);
     let mut session = EnergySession::new(g.n(), TxOnly, 99);
-    let res = run_protocol_energy(g, &mut p, cfg, &mut rng, &mut session);
+    let res = run_protocol(g, &mut p, cfg, Run::v1(&mut rng).energy(&mut session));
 
     assert_eq!(
         res.run.rounds, plain.rounds,
@@ -153,12 +153,11 @@ fn crash_and_depletion_compose_and_count_once() {
     let mut rng = derive_rng(5, b"engine", 0);
     let mut session = EnergySession::new(n, LinearRadio::uniform_drain(1.0), 17)
         .with_battery(Battery::per_node(caps));
-    let res = run_protocol_energy(
+    let res = run_protocol(
         &g,
         &mut protocol,
         EngineConfig::with_max_rounds(cfg.schedule_end() + 2),
-        &mut rng,
-        &mut session,
+        Run::v1(&mut rng).energy(&mut session),
     );
     assert!(res.run.rounds >= 3, "run long enough for both fault paths");
     assert_eq!(res.energy.depleted_count(), 12);
@@ -204,7 +203,7 @@ proptest! {
             FadingRadio::new(LinearRadio::with_listen_ratio(ratio)),
             split_seed_for_test(seed),
         );
-        let overlay = run_protocol_energy(&g, &mut p, cfg, &mut rng, &mut session);
+        let overlay = run_protocol(&g, &mut p, cfg, Run::v1(&mut rng).energy(&mut session));
 
         prop_assert_eq!(overlay.run.rounds, oracle.rounds);
         prop_assert_eq!(overlay.run.completed, oracle.completed);
@@ -228,13 +227,7 @@ proptest! {
         let mut protocol = EeRandomBroadcast::new(n, 0, cfg);
         let mut rng = derive_rng(seed, b"engine", 0);
         let mut session = EnergySession::new(n, TxOnly, seed ^ 0xE);
-        let res = run_protocol_energy(
-            &g,
-            &mut protocol,
-            EngineConfig::with_max_rounds(cfg.schedule_end() + 2),
-            &mut rng,
-            &mut session,
-        );
+        let res = run_protocol(&g, &mut protocol, EngineConfig::with_max_rounds(cfg.schedule_end() + 2), Run::v1(&mut rng).energy(&mut session));
         prop_assert_eq!(
             res.energy.total_energy(),
             res.run.metrics.total_transmissions() as f64

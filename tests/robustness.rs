@@ -7,8 +7,7 @@ use adhoc_radio::core::broadcast::epoch::{run_epoch_broadcast, EpochBroadcastCon
 use adhoc_radio::core::gossip::{EeGossip, EeGossipConfig};
 use adhoc_radio::graph::generate::mobile_geometric_sequence;
 use adhoc_radio::prelude::*;
-use adhoc_radio::sim::engine::run_protocol;
-use adhoc_radio::sim::{run_dynamic, CrashPlan, EngineConfig, Faulty};
+use adhoc_radio::sim::{run_protocol, CrashPlan, EngineConfig, Faulty, Run};
 
 #[test]
 fn gossip_survives_continuous_mobility() {
@@ -28,12 +27,11 @@ fn gossip_survives_continuous_mobility() {
         let refs: Vec<&DiGraph> = graphs.iter().collect();
         let mut protocol = EeGossip::new(cfg);
         let mut rng = derive_rng(seed, b"engine", 0);
-        let run = run_dynamic(
-            &refs,
-            30,
+        let run = run_protocol(
+            refs[0],
             &mut protocol,
             EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-            &mut rng,
+            Run::v1(&mut rng).schedule(&refs, 30),
         );
         assert!(
             protocol.gossip_time().is_some(),
@@ -64,12 +62,11 @@ fn mobility_rescues_a_disconnected_field() {
         let refs: Vec<&DiGraph> = graphs.iter().collect();
         let mut protocol = EeGossip::new(cfg);
         let mut rng = derive_rng(seed, b"engine", 0);
-        let _ = run_dynamic(
-            &refs,
-            20,
+        let _ = run_protocol(
+            refs[0],
             &mut protocol,
             EngineConfig::with_max_rounds(budget),
-            &mut rng,
+            Run::v1(&mut rng).schedule(&refs, 20),
         );
         protocol.informed_count() // nodes holding all tracked rumors
     };
@@ -98,7 +95,7 @@ fn alg1_tolerates_moderate_crashes() {
             &g,
             &mut protocol,
             EngineConfig::with_max_rounds(cfg.schedule_end() + 2),
-            &mut rng,
+            Run::v1(&mut rng),
         );
         let informed = survivors
             .iter()
@@ -130,7 +127,7 @@ fn crashed_nodes_never_transmit_after_their_round() {
         &g,
         &mut protocol,
         EngineConfig::with_max_rounds(cfg.schedule_end() + 2),
-        &mut rng,
+        Run::v1(&mut rng),
     );
     // Crashed nodes may have transmitted in rounds < crash_round only;
     // with crash_round = 2 and Phase 1 length T ≥ 1, at most one send.

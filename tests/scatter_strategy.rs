@@ -12,7 +12,7 @@
 //! shards.
 
 use adhoc_radio::prelude::*;
-use adhoc_radio::sim::{run_protocol_par, ScatterStrategy};
+use adhoc_radio::sim::{run_protocol, Run, ScatterStrategy};
 use adhoc_radio::util::split_seed;
 use proptest::prelude::*;
 
@@ -118,7 +118,12 @@ fn run_one<T: Topology>(
 ) -> Fingerprint {
     let mut proto = CoinProto::new(Topology::n(t));
     let mut rng = derive_rng(seed, b"scatter-run", 0);
-    let res = run_protocol_par(t, &mut proto, cfg(strategy, half_duplex), &mut rng, threads);
+    let res = run_protocol(
+        t,
+        &mut proto,
+        (cfg(strategy, half_duplex)).with_threads(threads),
+        Run::v1(&mut rng),
+    );
     (
         res.rounds,
         res.completed,
@@ -258,19 +263,25 @@ fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
             ..EngineConfig::with_max_rounds(1)
         }
         .with_scatter_strategy(strategy);
-        let res = run_protocol_par(&g, &mut proto, cfg, &mut rng, threads);
+        let res = run_protocol(&g, &mut proto, cfg.with_threads(threads), Run::v1(&mut rng));
         (res.metrics, proto.heard)
     };
 
     let (serial_metrics, serial_heard) = run_at(ScatterStrategy::Auto, 1);
     // Semantic ground truth, checked once on the serial oracle.
-    assert!(serial_heard[9].is_empty(), "8-way collision must deliver nothing");
+    assert!(
+        serial_heard[9].is_empty(),
+        "8-way collision must deliver nothing"
+    );
     assert!(serial_heard[12].is_empty(), "cross-shard 2-way collision");
     assert!(serial_heard[13].is_empty(), "intra-shard 2-way collision");
     assert_eq!(serial_heard[10], vec![0], "single hit delivers its source");
     assert_eq!(serial_heard[11], vec![7], "single hit from the last shard");
 
-    for strategy in [ScatterStrategy::TransmitterShard, ScatterStrategy::ReceiverRange] {
+    for strategy in [
+        ScatterStrategy::TransmitterShard,
+        ScatterStrategy::ReceiverRange,
+    ] {
         for threads in [2usize, 4, 8] {
             let got = run_at(strategy, threads);
             assert_eq!(

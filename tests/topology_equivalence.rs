@@ -24,7 +24,7 @@ use adhoc_radio::core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadca
 use adhoc_radio::core::broadcast::flood::FloodConfig;
 use adhoc_radio::core::broadcast::windowed::WindowedBroadcast;
 use adhoc_radio::graph::{DiGraph, ImplicitGnp, ImplicitGrid, NodeId, Topology};
-use adhoc_radio::sim::engine::{run_protocol, run_protocol_fused, run_protocol_par};
+use adhoc_radio::sim::engine::{run_protocol, Run};
 use adhoc_radio::sim::{EngineConfig, RunResult};
 use adhoc_radio::util::{derive_rng, split_seed};
 
@@ -85,44 +85,48 @@ fn all_runs<T: Topology>(t: &T, d: f64, run_seed: u64, threads: usize) -> Vec<Ru
     // Algorithm 1 (fused): the paper's p-parameterised config.
     let cfg = EeBroadcastConfig::for_gnp(n, d / n as f64);
     let mut alg1 = EeRandomBroadcast::new(n, 0, cfg);
-    out.push(run_protocol_fused(
+    out.push(run_protocol(
         t,
         &mut alg1,
         par_cfg(cfg.schedule_end() + 2, threads),
-        run_seed,
+        Run::v2(run_seed),
     ));
 
     // Flood and Decay (fused) through the windowed protocol.
     let fcfg = FloodConfig::with_prob(q, 400);
     let mut flood = WindowedBroadcast::new(n, 0, fcfg.spec());
-    out.push(run_protocol_fused(
+    out.push(run_protocol(
         t,
         &mut flood,
         par_cfg(400, threads),
-        split_seed(run_seed, b"flood", 0),
+        Run::v2(split_seed(run_seed, b"flood", 0)),
     ));
 
     let dcfg = DecayConfig::new(n, 8);
     let mut decay = WindowedBroadcast::new(n, 0, dcfg.spec());
-    out.push(run_protocol_fused(
+    out.push(run_protocol(
         t,
         &mut decay,
         par_cfg(dcfg.max_rounds(), threads),
-        split_seed(run_seed, b"decay", 0),
+        Run::v2(split_seed(run_seed, b"decay", 0)),
     ));
 
     // v1 contract too: serial shared stream, flood protocol.
     let mut flood_v1 = WindowedBroadcast::new(n, 0, fcfg.spec());
     let mut rng = derive_rng(run_seed, b"v1", 0);
     if threads == 1 {
-        out.push(run_protocol(t, &mut flood_v1, par_cfg(400, 1), &mut rng));
-    } else {
-        out.push(run_protocol_par(
+        out.push(run_protocol(
             t,
             &mut flood_v1,
             par_cfg(400, 1),
-            &mut rng,
-            threads,
+            Run::v1(&mut rng),
+        ));
+    } else {
+        out.push(run_protocol(
+            t,
+            &mut flood_v1,
+            (par_cfg(400, 1)).with_threads(threads),
+            Run::v1(&mut rng),
         ));
     }
     out
@@ -164,7 +168,7 @@ fn informative_runs_actually_inform() {
     let t = ImplicitGnp::with_expected_degree(1 << 10, 16.0, split_seed(5, b"run-eq", 2));
     let fcfg = FloodConfig::with_prob(1.0 / 16.0, 400);
     let mut flood = WindowedBroadcast::new(1 << 10, 0, fcfg.spec());
-    let run = run_protocol_fused(&t, &mut flood, par_cfg(400, 1), 17);
+    let run = run_protocol(&t, &mut flood, par_cfg(400, 1), Run::v2(17));
     assert!(run.completed, "flood should complete on a connected G(n,p)");
 }
 
@@ -198,11 +202,11 @@ fn topology_scale_2_24_bit_identical_across_threads() {
     for threads in [1usize, 8] {
         let fcfg = FloodConfig::with_prob(q, rounds);
         let mut flood = WindowedBroadcast::new(n, 0, fcfg.spec());
-        runs.push(run_protocol_fused(
+        runs.push(run_protocol(
             &t,
             &mut flood,
             EngineConfig::with_max_rounds(rounds).with_threads(threads),
-            313,
+            Run::v2(313),
         ));
     }
     assert_eq!(runs[0], runs[1], "gnp @ 2^24: thread counts diverged");
@@ -214,11 +218,11 @@ fn topology_scale_2_24_bit_identical_across_threads() {
     for threads in [1usize, 8] {
         let fcfg = FloodConfig::with_prob(q, rounds);
         let mut flood = WindowedBroadcast::new(n, 0, fcfg.spec());
-        runs.push(run_protocol_fused(
+        runs.push(run_protocol(
             &t,
             &mut flood,
             EngineConfig::with_max_rounds(rounds).with_threads(threads),
-            313,
+            Run::v2(313),
         ));
     }
     assert_eq!(runs[0], runs[1], "grid @ 2^24: thread counts diverged");

@@ -43,7 +43,7 @@ fn check_v1<P: Protocol>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threads: us
     let plain = {
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-run", 1);
-        Engine::new(g, c).run(&mut p, &mut rng)
+        Engine::new(g, c).run(&mut p, Run::v1(&mut rng))
     };
     let mut bytes = Vec::new();
     let traced = {
@@ -51,7 +51,7 @@ fn check_v1<P: Protocol>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threads: us
         let mut sink = RecordingSink::new(&mut bytes, &header).unwrap();
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-run", 1);
-        let res = Engine::new(g, c).run_traced(&mut p, &mut rng, &mut sink);
+        let res = Engine::new(g, c).run(&mut p, Run::v1(&mut rng).sink(&mut sink));
         sink.finish(res.completed).unwrap();
         res
     };
@@ -61,7 +61,7 @@ fn check_v1<P: Protocol>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threads: us
     {
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-run", 1);
-        let _ = Engine::new(g, c).run_traced(&mut p, &mut rng, &mut verifier);
+        let _ = Engine::new(g, c).run(&mut p, Run::v1(&mut rng).sink(&mut verifier));
     }
     let verified = verifier.finish();
     assert!(
@@ -76,14 +76,14 @@ fn check_fused<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threa
     let c = cfg(threads);
     let plain = {
         let mut p = mk();
-        Engine::new(g, c).run_fused(&mut p, seed)
+        Engine::new(g, c).run(&mut p, Run::v2(seed))
     };
     let mut bytes = Vec::new();
     let traced = {
         let header = RunHeader::new(seed, "v2", "prop");
         let mut sink = RecordingSink::new(&mut bytes, &header).unwrap();
         let mut p = mk();
-        let res = Engine::new(g, c).run_fused_traced(&mut p, seed, &mut sink);
+        let res = Engine::new(g, c).run(&mut p, Run::v2(seed).sink(&mut sink));
         sink.finish(res.completed).unwrap();
         res
     };
@@ -92,7 +92,7 @@ fn check_fused<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threa
     let mut verifier = ReplayVerifier::new(&rec);
     {
         let mut p = mk();
-        let _ = Engine::new(g, c).run_fused_traced(&mut p, seed, &mut verifier);
+        let _ = Engine::new(g, c).run(&mut p, Run::v2(seed).sink(&mut verifier));
     }
     let verified = verifier.finish();
     assert!(
@@ -115,13 +115,16 @@ fn check_energy<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, thre
     let plain = {
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-en", 2);
-        Engine::new(g, c).run_energy(&mut p, &mut rng, &mut session())
+        Engine::new(g, c).run(&mut p, Run::v1(&mut rng).energy(&mut session()))
     };
     let traced = {
         let mut sink = RingSink::new(64);
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-en", 2);
-        Engine::new(g, c).run_energy_traced(&mut p, &mut rng, &mut session(), &mut sink)
+        Engine::new(g, c).run(
+            &mut p,
+            Run::v1(&mut rng).energy(&mut session()).sink(&mut sink),
+        )
     };
     assert_eq!(&plain.run, &traced.run, "tracing changed the energy run");
     assert_eq!(&plain.energy, &traced.energy);
@@ -129,12 +132,12 @@ fn check_energy<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, thre
     // Fused contract.
     let plain_f = {
         let mut p = mk();
-        Engine::new(g, c).run_fused_energy(&mut p, seed, &mut session())
+        Engine::new(g, c).run(&mut p, Run::v2(seed).energy(&mut session()))
     };
     let traced_f = {
         let mut sink = RingSink::new(64);
         let mut p = mk();
-        Engine::new(g, c).run_fused_energy_traced(&mut p, seed, &mut session(), &mut sink)
+        Engine::new(g, c).run(&mut p, Run::v2(seed).energy(&mut session()).sink(&mut sink))
     };
     assert_eq!(
         &plain_f.run, &traced_f.run,
@@ -166,7 +169,7 @@ fn fused_parallel_record_replay_at_2_pow_16_has_zero_divergences() {
         let header = RunHeader::new(seed, "v2", format!("gnp_directed/n={n}/p={p}"));
         let mut sink = RecordingSink::create(&path, &header).expect("create .rtrc");
         let mut proto = EeRandomBroadcast::new(n, 0, acfg);
-        let run = Engine::new(&g, ecfg).run_fused_traced(&mut proto, seed, &mut sink);
+        let run = Engine::new(&g, ecfg).run(&mut proto, Run::v2(seed).sink(&mut sink));
         sink.finish(run.completed).expect("footer");
         assert!(
             proto.informed_count() == n,
@@ -180,7 +183,7 @@ fn fused_parallel_record_replay_at_2_pow_16_has_zero_divergences() {
     let mut verifier = ReplayVerifier::new(&rec);
     let replayed = {
         let mut proto = EeRandomBroadcast::new(n, 0, EeBroadcastConfig::for_gnp(n, p));
-        Engine::new(&g, ecfg).run_fused_traced(&mut proto, seed, &mut verifier)
+        Engine::new(&g, ecfg).run(&mut proto, Run::v2(seed).sink(&mut verifier))
     };
     assert_eq!(&recorded, &replayed, "re-driven run differs");
     match verifier.finish() {

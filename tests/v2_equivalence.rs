@@ -1,7 +1,7 @@
 //! Cross-validation of the **v2 counter-based stream contract** against
 //! the frozen v1 engines.
 //!
-//! A fused run (`run_fused`, per-node streams) and a v1 run (shared
+//! A v2 run (`Run::v2`, per-node streams) and a v1 run (shared
 //! serial stream) of the same `(protocol, seed)` follow *different*
 //! trajectories by design — the stream layouts differ — so bit-identity
 //! is the wrong cross-check. What must hold instead is **statistical
@@ -24,7 +24,7 @@ use adhoc_radio::core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadca
 use adhoc_radio::core::broadcast::flood::FloodConfig;
 use adhoc_radio::core::broadcast::windowed::WindowedBroadcast;
 use adhoc_radio::graph::{DiGraph, GraphFamily};
-use adhoc_radio::sim::engine::run_protocol_fused;
+use adhoc_radio::sim::engine::{run_protocol, Run};
 use adhoc_radio::sim::reference::run_reference;
 use adhoc_radio::sim::{EngineConfig, RunResult};
 use adhoc_radio::util::{derive_rng, split_seed};
@@ -100,7 +100,7 @@ fn both_runs(
                 &mut derive_rng(seed, b"engine", 0),
             );
             let mut p2 = EeRandomBroadcast::new(N, 0, cfg);
-            let v2 = run_protocol_fused(graph, &mut p2, engine_cfg, seed);
+            let v2 = run_protocol(graph, &mut p2, engine_cfg, Run::v2(seed));
             (v1, v2)
         }
         "flood" => {
@@ -115,7 +115,7 @@ fn both_runs(
                 &mut derive_rng(seed, b"engine", 0),
             );
             let mut p2 = WindowedBroadcast::new(N, 0, cfg.spec());
-            let v2 = run_protocol_fused(graph, &mut p2, engine_cfg, seed);
+            let v2 = run_protocol(graph, &mut p2, engine_cfg, Run::v2(seed));
             (v1, v2)
         }
         "decay" => {
@@ -129,7 +129,7 @@ fn both_runs(
                 &mut derive_rng(seed, b"engine", 0),
             );
             let mut p2 = WindowedBroadcast::new(N, 0, cfg.spec());
-            let v2 = run_protocol_fused(graph, &mut p2, engine_cfg, seed);
+            let v2 = run_protocol(graph, &mut p2, engine_cfg, Run::v2(seed));
             (v1, v2)
         }
         other => unreachable!("unknown algorithm {other}"),
@@ -208,11 +208,11 @@ fn the_equivalence_test_has_teeth() {
         for (qq, out) in [(q, &mut a), (q / 2.0, &mut b)] {
             let cfg = FloodConfig::with_prob(qq, 2_000);
             let mut proto = WindowedBroadcast::new(N, 0, cfg.spec());
-            let run = run_protocol_fused(
+            let run = run_protocol(
                 &graph,
                 &mut proto,
                 EngineConfig::with_max_rounds(cfg.max_rounds),
-                seed,
+                Run::v2(seed),
             );
             out.push(run.rounds as f64);
         }

@@ -22,7 +22,7 @@ use adhoc_radio::core::broadcast::flood::FloodConfig;
 use adhoc_radio::core::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
 use adhoc_radio::core::seq::{KDistribution, SharedSequence};
 use adhoc_radio::graph::GraphFamily;
-use adhoc_radio::sim::engine::{run_protocol_fused, run_protocol_fused_energy};
+use adhoc_radio::sim::engine::{run_protocol, Run};
 use adhoc_radio::sim::{Battery, EnergySession, EngineConfig, FusedDecide, LinearRadio, RunResult};
 use adhoc_radio::util::{derive_rng, split_seed};
 
@@ -82,11 +82,11 @@ where
     let g = graph(GraphFamily::GnpDirected, run_seed);
     let fp_at = |threads: usize| {
         let mut p = make();
-        fingerprint(&run_protocol_fused(
+        fingerprint(&run_protocol(
             &g,
             &mut p,
             cfg(max_rounds, threads),
-            run_seed,
+            Run::v2(run_seed),
         ))
     };
     let serial = fp_at(1);
@@ -187,11 +187,11 @@ fn geometric_topology_is_pinned() {
     let g = graph(GraphFamily::Geometric, 0x6E0);
     let fp_at = |threads: usize| {
         let mut p = WindowedBroadcast::new(N, 0, flood.spec());
-        fingerprint(&run_protocol_fused(
+        fingerprint(&run_protocol(
             &g,
             &mut p,
             cfg(flood.max_rounds, threads),
-            0x6E0,
+            Run::v2(0x6E0),
         ))
     };
     let serial = fp_at(1);
@@ -218,12 +218,11 @@ fn battery_depletion_dead_path_is_pinned() {
         let mut session = EnergySession::new(N, LinearRadio::uniform_drain(1.0), 17)
             .with_battery(Battery::per_node(caps));
         let mut p = WindowedBroadcast::new(N, 0, flood.spec());
-        let res = run_protocol_fused_energy(
+        let res = run_protocol(
             &g,
             &mut p,
             cfg(flood.max_rounds, threads),
-            0xBA77,
-            &mut session,
+            Run::v2(0xBA77).energy(&mut session),
         );
         let mut h = fingerprint(&res.run);
         mix(&mut h, res.energy.depleted_count() as u64);
@@ -246,11 +245,11 @@ fn fingerprints_depend_on_the_seed() {
     let g = graph(GraphFamily::GnpDirected, 1);
     let fp = |seed: u64| {
         let mut p = WindowedBroadcast::new(N, 0, flood.spec());
-        fingerprint(&run_protocol_fused(
+        fingerprint(&run_protocol(
             &g,
             &mut p,
             cfg(flood.max_rounds, 1),
-            seed,
+            Run::v2(seed),
         ))
     };
     assert_ne!(fp(split_seed(1, b"a", 0)), fp(split_seed(1, b"a", 1)));
